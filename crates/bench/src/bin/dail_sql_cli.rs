@@ -223,43 +223,40 @@ fn rate_flag(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
     }
 }
 
-/// Install a global trace recorder when `--trace FILE` was given.
-/// Returns the recorder (enabled or disabled) plus the output path.
+/// The command's trace recorder: enabled when `--trace FILE` was given
+/// (returned with the output path), else disabled. Callers enter it for
+/// the rest of the command, so every layer records into it.
 ///
-/// Tracing also installs the global [`obskit::tsdb`] store (windowed
+/// A tracing recorder also owns an [`obskit::tsdb`] store (windowed
 /// labelled series; drained into the trace by [`finish_trace`]) unless
 /// `DAIL_TSDB=0`. `DAIL_TSDB_STEP_MS` and `DAIL_TSDB_MAX_SERIES`
 /// override the window step and the hard cardinality bound.
 fn setup_trace(flags: &HashMap<String, String>) -> (obskit::Recorder, Option<PathBuf>) {
-    match flags.get("trace") {
-        Some(path) => {
-            let rec = obskit::Recorder::enabled();
-            obskit::set_global(rec.clone());
-            if std::env::var("DAIL_TSDB").as_deref() != Ok("0") {
-                let env_num = |key: &str, default: u64| {
-                    std::env::var(key)
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(default)
-                };
-                let defaults = obskit::tsdb::TsdbConfig::default();
-                obskit::tsdb::install(obskit::tsdb::Tsdb::new(obskit::tsdb::TsdbConfig {
-                    step_ms: env_num("DAIL_TSDB_STEP_MS", defaults.step_ms).max(1),
-                    max_series: env_num("DAIL_TSDB_MAX_SERIES", defaults.max_series as u64).max(1)
-                        as usize,
-                    ..defaults
-                }));
-            }
-            (rec, Some(PathBuf::from(path)))
-        }
-        None => (obskit::Recorder::disabled(), None),
+    let Some(path) = flags.get("trace") else {
+        return (obskit::Recorder::disabled(), None);
+    };
+    if std::env::var("DAIL_TSDB").as_deref() == Ok("0") {
+        return (obskit::Recorder::enabled(), Some(PathBuf::from(path)));
     }
+    let env_num = |key: &str, default: u64| {
+        std::env::var(key)
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    };
+    let defaults = obskit::tsdb::TsdbConfig::default();
+    let tsdb = obskit::tsdb::Tsdb::new(obskit::tsdb::TsdbConfig {
+        step_ms: env_num("DAIL_TSDB_STEP_MS", defaults.step_ms).max(1),
+        max_series: env_num("DAIL_TSDB_MAX_SERIES", defaults.max_series as u64).max(1) as usize,
+        ..defaults
+    });
+    (obskit::Recorder::with_tsdb(tsdb), Some(PathBuf::from(path)))
 }
 
 /// Write the trace out (if tracing was requested) and tell the user.
 fn finish_trace(rec: &obskit::Recorder, path: Option<PathBuf>) {
     let Some(path) = path else { return };
-    obskit::tsdb::with(|t| t.drain_into(rec));
+    rec.tsdb(|t| t.drain_into(rec));
     match rec.write_jsonl(&path) {
         Ok(()) => eprintln!(
             "trace written to {} ({} events); replay with `dail_sql_cli profile {}`",
@@ -620,6 +617,7 @@ fn exec_bench(flags: &HashMap<String, String>) {
     use storage::{Engine, Value};
     let rows: usize = num_flag(flags, "rows", 50_000usize);
     let (rec, trace_path) = setup_trace(flags);
+    let _scope = rec.enter();
     let schema = DbSchema {
         db_id: "exec_bench".into(),
         tables: vec![
@@ -1106,6 +1104,7 @@ fn run_eval(flags: &HashMap<String, String>) {
     let predictor = build_predictor(flags);
     let realistic = flags.contains_key("realistic");
     let (rec, trace_path) = setup_trace(flags);
+    let _scope = rec.enter();
     let bench = bench_from_flags(flags);
     let selector = ExampleSelector::new(&bench);
     let threads = flags
@@ -1114,7 +1113,6 @@ fn run_eval(flags: &HashMap<String, String>) {
     let digests_n = digests_top_n(flags);
     let opts = EvalOptions {
         threads,
-        recorder: rec.clone(),
         digests: digests_n.is_some(),
     };
     let r = evaluate_opts(
@@ -1199,6 +1197,7 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
     let pipeline = flag(flags, "pipeline", "dail").to_string();
     let seed: u64 = num_flag(flags, "seed", 7u64);
     let (rec, trace_path) = setup_trace(flags);
+    let _scope = rec.enter();
     let bench = bench_from_flags(flags);
     let selector = ExampleSelector::new(&bench);
     let tokenizer = textkit::Tokenizer::new();
@@ -1253,19 +1252,23 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
         } = outcome
         {
             let item = &bench.dev[req.item_idx];
-            let score = match &mut digests {
-                Some(acc) => {
-                    let (score, observed) = eval::score_item_observed(bench.db(item), item, sql);
-                    if let Some((q, obs)) = observed {
-                        acc.record(&q, obs, Some(score.ex));
+            let score = {
+                let _request = out.traces[i].enter();
+                match &mut digests {
+                    Some(acc) => {
+                        let (score, observed) =
+                            eval::score_item_observed(bench.db(item), item, sql);
+                        if let Some((q, obs)) = observed {
+                            acc.record(&q, obs, Some(score.ex));
+                        }
+                        score
                     }
-                    score
+                    None => eval::score_item(bench.db(item), item, sql),
                 }
-                None => eval::score_item_traced(bench.db(item), item, sql, out.traces[i]),
             };
-            if obskit::tsdb::installed() {
+            rec.tsdb(|t| {
                 let tenant = format!("t{}", req.tenant);
-                obskit::tsdb::counter(
+                t.counter(
                     "eval.ex_verdicts",
                     &[
                         ("db", item.db_id.as_str()),
@@ -1275,7 +1278,7 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
                     req.arrival_ms + latency_ms,
                     1,
                 );
-            }
+            });
             ex.push(Some(score.ex));
         } else {
             ex.push(None);
@@ -2109,13 +2112,14 @@ fn run_experiments(flags: &HashMap<String, String>) {
         std::process::exit(2);
     }
     let (rec, trace_path) = setup_trace(flags);
+    let _scope = rec.enter();
     let scale = Scale {
         dev_cap: num_flag(flags, "dev-cap", 24usize),
         full_grid: flags.contains_key("full-grid"),
     };
     let seed = num_flag(flags, "seed", 2023u64);
     let bench = bench_from_flags(flags);
-    let runner = ExperimentRunner::new(&bench, scale, seed).with_recorder(rec.clone());
+    let runner = ExperimentRunner::new(&bench, scale, seed);
     for table in runner.run_experiment(id) {
         println!("{}", table.to_markdown());
     }

@@ -8,8 +8,7 @@
 use crate::pipeline::{PredictCtx, Prediction, Predictor};
 use crate::self_consistency::vote_by_execution;
 use promptkit::{
-    build_prompt_traced, OrganizationStrategy, PromptConfig, QuestionRepr, ReprOptions,
-    SelectionStrategy,
+    build_prompt, OrganizationStrategy, PromptConfig, QuestionRepr, ReprOptions, SelectionStrategy,
 };
 use simllm::{extract_sql, GenOptions, SimLlm};
 use spider_gen::ExampleItem;
@@ -46,12 +45,13 @@ impl Predictor for ZeroShot {
     }
 
     fn predict(&self, ctx: &PredictCtx<'_>, item: &ExampleItem) -> Prediction {
+        let _request = ctx.trace.enter();
         let cfg = PromptConfig {
             repr: self.repr,
             opts: self.opts,
             ..PromptConfig::zero_shot(self.repr)
         };
-        let bundle = build_prompt_traced(
+        let bundle = build_prompt(
             &cfg,
             ctx.bench,
             ctx.selector,
@@ -60,14 +60,12 @@ impl Predictor for ZeroShot {
             ctx.realistic,
             ctx.tokenizer,
             ctx.seed,
-            ctx.trace,
         );
         let had_prefix = bundle.text.trim_end().ends_with("SELECT");
         let out = self.model.complete(
             &bundle.text,
             &GenOptions {
                 seed: ctx.seed,
-                trace: ctx.trace,
                 ..Default::default()
             },
         );
@@ -123,12 +121,13 @@ impl Predictor for FewShot {
     }
 
     fn predict(&self, ctx: &PredictCtx<'_>, item: &ExampleItem) -> Prediction {
+        let _request = ctx.trace.enter();
         let mut prompt_tokens = 0;
         let mut completion_tokens = 0;
         let mut api_calls = 0;
         let preliminary = if self.use_preliminary {
             let cfg = PromptConfig::zero_shot(self.cfg.repr);
-            let bundle = build_prompt_traced(
+            let bundle = build_prompt(
                 &cfg,
                 ctx.bench,
                 ctx.selector,
@@ -137,13 +136,11 @@ impl Predictor for FewShot {
                 ctx.realistic,
                 ctx.tokenizer,
                 ctx.seed,
-                ctx.trace,
             );
             let out = self.model.complete(
                 &bundle.text,
                 &GenOptions {
                     seed: ctx.seed,
-                    trace: ctx.trace,
                     ..Default::default()
                 },
             );
@@ -155,7 +152,7 @@ impl Predictor for FewShot {
         } else {
             None
         };
-        let bundle = build_prompt_traced(
+        let bundle = build_prompt(
             &self.cfg,
             ctx.bench,
             ctx.selector,
@@ -164,14 +161,12 @@ impl Predictor for FewShot {
             ctx.realistic,
             ctx.tokenizer,
             ctx.seed,
-            ctx.trace,
         );
         let had_prefix = bundle.text.trim_end().ends_with("SELECT");
         let out = self.model.complete(
             &bundle.text,
             &GenOptions {
                 seed: ctx.seed,
-                trace: ctx.trace,
                 ..Default::default()
             },
         );
@@ -210,6 +205,7 @@ impl Predictor for DinSqlStyle {
     }
 
     fn predict(&self, ctx: &PredictCtx<'_>, item: &ExampleItem) -> Prediction {
+        let _request = ctx.trace.enter();
         // DIN-SQL routes each question through a hardness classifier that
         // picks the decomposition branch; the published pipeline's
         // classifier misroutes a fraction of questions, and a misrouted
@@ -232,7 +228,7 @@ impl Predictor for DinSqlStyle {
             shots: self.shots,
             max_tokens: 8192,
         };
-        let bundle = build_prompt_traced(
+        let bundle = build_prompt(
             &cfg,
             ctx.bench,
             ctx.selector,
@@ -241,7 +237,6 @@ impl Predictor for DinSqlStyle {
             ctx.realistic,
             ctx.tokenizer,
             ctx.seed,
-            ctx.trace,
         );
         let had_prefix = bundle.text.trim_end().ends_with("SELECT");
         let mut prompt_tokens = bundle.tokens;
@@ -250,7 +245,6 @@ impl Predictor for DinSqlStyle {
             &bundle.text,
             &GenOptions {
                 seed: ctx.seed,
-                trace: ctx.trace,
                 ..Default::default()
             },
         );
@@ -268,7 +262,6 @@ impl Predictor for DinSqlStyle {
                 &bundle.text,
                 &GenOptions {
                     seed: ctx.seed ^ 0x5eed,
-                    trace: ctx.trace,
                     ..Default::default()
                 },
             );
@@ -315,8 +308,9 @@ impl Predictor for C3Style {
     }
 
     fn predict(&self, ctx: &PredictCtx<'_>, item: &ExampleItem) -> Prediction {
+        let _request = ctx.trace.enter();
         let cfg = PromptConfig::zero_shot(QuestionRepr::OpenAiDemo);
-        let bundle = build_prompt_traced(
+        let bundle = build_prompt(
             &cfg,
             ctx.bench,
             ctx.selector,
@@ -325,7 +319,6 @@ impl Predictor for C3Style {
             ctx.realistic,
             ctx.tokenizer,
             ctx.seed,
-            ctx.trace,
         );
         let had_prefix = bundle.text.trim_end().ends_with("SELECT");
         let mut prompt_tokens = 0;
@@ -338,7 +331,6 @@ impl Predictor for C3Style {
                     seed: ctx.seed,
                     temperature: 1.0,
                     sample_index: i as u32,
-                    trace: ctx.trace,
                 },
             );
             prompt_tokens += bundle.tokens;

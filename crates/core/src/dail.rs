@@ -7,7 +7,7 @@
 
 use crate::pipeline::{PredictCtx, Prediction, Predictor};
 use crate::self_consistency::vote_by_execution;
-use promptkit::{build_prompt_traced, PromptConfig, QuestionRepr};
+use promptkit::{build_prompt, PromptConfig, QuestionRepr};
 use simllm::{extract_sql, GenOptions, SimLlm};
 use spider_gen::ExampleItem;
 use sqlkit::parse_query;
@@ -48,9 +48,9 @@ impl DailSql {
         ctx: &PredictCtx<'_>,
         item: &ExampleItem,
     ) -> (Option<sqlkit::Query>, usize, usize) {
-        let (_span, tctx) = ctx.trace.span("dail.preliminary");
+        let _span = obskit::span("dail.preliminary");
         let cfg = PromptConfig::zero_shot(QuestionRepr::CodeRepr);
-        let bundle = build_prompt_traced(
+        let bundle = build_prompt(
             &cfg,
             ctx.bench,
             ctx.selector,
@@ -59,13 +59,11 @@ impl DailSql {
             ctx.realistic,
             ctx.tokenizer,
             ctx.seed,
-            tctx,
         );
         let out = self.model.complete(
             &bundle.text,
             &GenOptions {
                 seed: ctx.seed,
-                trace: tctx,
                 ..Default::default()
             },
         );
@@ -85,14 +83,15 @@ impl Predictor for DailSql {
     }
 
     fn predict(&self, ctx: &PredictCtx<'_>, item: &ExampleItem) -> Prediction {
+        let _request = ctx.trace.enter();
         // Stage 1: preliminary prediction for skeleton-aware selection.
         let (preliminary, mut prompt_tokens, mut completion_tokens) = self.preliminary(ctx, item);
         let mut api_calls = 1;
 
         // Stage 2: DAIL prompt.
-        let (_span, tctx) = ctx.trace.span("dail.main");
+        let _span = obskit::span("dail.main");
         let cfg = PromptConfig::dail_sql(self.shots);
-        let bundle = build_prompt_traced(
+        let bundle = build_prompt(
             &cfg,
             ctx.bench,
             ctx.selector,
@@ -101,7 +100,6 @@ impl Predictor for DailSql {
             ctx.realistic,
             ctx.tokenizer,
             ctx.seed,
-            tctx,
         );
         let had_prefix = bundle.text.trim_end().ends_with("SELECT");
 
@@ -110,7 +108,6 @@ impl Predictor for DailSql {
                 &bundle.text,
                 &GenOptions {
                     seed: ctx.seed,
-                    trace: tctx,
                     ..Default::default()
                 },
             );
@@ -131,7 +128,6 @@ impl Predictor for DailSql {
                         seed: ctx.seed,
                         temperature,
                         sample_index: i as u32,
-                        trace: tctx,
                     },
                 );
                 prompt_tokens += bundle.tokens;
@@ -140,10 +136,7 @@ impl Predictor for DailSql {
                 completion_tokens += ctx.tokenizer.count(&sql);
                 candidates.push(sql);
             }
-            if obskit::enabled() {
-                obskit::global()
-                    .add_counter("dail.self_consistency_samples", candidates.len() as u64);
-            }
+            obskit::current().add_counter("dail.self_consistency_samples", candidates.len() as u64);
             vote_by_execution(ctx.bench.db(item), &candidates)
         };
 
@@ -221,5 +214,50 @@ mod tests {
         let b = DailSql::with_self_consistency(SimLlm::new("gpt-4").unwrap(), 5);
         assert_eq!(a.name(), "DAIL-SQL(gpt-4)");
         assert!(b.name().contains("SC"));
+    }
+
+    #[test]
+    fn predict_runs_inside_the_request_context_it_is_handed() {
+        let (bench, tok) = ctx_parts();
+        let selector = ExampleSelector::new(&bench);
+        let pipe = DailSql::new(SimLlm::new("gpt-4").unwrap());
+        let rec = obskit::Recorder::enabled();
+        let _scope = rec.enter();
+        let request = obskit::span("request");
+        let ctx_for = |sampled| PredictCtx {
+            bench: &bench,
+            selector: &selector,
+            tokenizer: &tok,
+            seed: 3,
+            realistic: false,
+            trace: obskit::TraceContext::root(1, sampled, request.id()),
+        };
+        // Predict on another thread, as a serving worker would.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _scope = rec.enter();
+                pipe.predict(&ctx_for(true), &bench.dev[0]);
+                pipe.predict(&ctx_for(false), &bench.dev[1]);
+            });
+        });
+        let stages: Vec<(String, Option<u64>)> = rec
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                obskit::Event::SpanStart { name, parent, .. } if name.starts_with("dail.") => {
+                    Some((name, parent))
+                }
+                _ => None,
+            })
+            .collect();
+        // Only the sampled request recorded its stages, both under the
+        // handed-over parent.
+        assert_eq!(
+            stages,
+            vec![
+                ("dail.preliminary".to_string(), request.id()),
+                ("dail.main".to_string(), request.id()),
+            ]
+        );
     }
 }

@@ -6,8 +6,8 @@ use textkit::Tokenizer;
 
 /// Shared context for one evaluation run.
 ///
-/// `Copy`, so per-request variants (e.g. with a request-scoped
-/// [`obskit::TraceContext`]) can be minted cheaply from a shared base.
+/// `Copy`, so per-request variants can be minted cheaply from a shared
+/// base.
 #[derive(Clone, Copy)]
 pub struct PredictCtx<'a> {
     /// The benchmark (databases + splits).
@@ -20,9 +20,11 @@ pub struct PredictCtx<'a> {
     pub seed: u64,
     /// Evaluate on Spider-Realistic questions instead of standard ones.
     pub realistic: bool,
-    /// Request-scoped trace context; prediction stages open their spans
-    /// under it. [`obskit::TraceContext::disabled`] for untraced runs.
-    /// Never affects predictions.
+    /// Request context the prediction runs under: [`Predictor::predict`]
+    /// enters it, so a caller handing the prediction to another thread
+    /// keeps its spans in the request's tree.
+    /// [`obskit::TraceContext::disabled`] (the usual value) records into
+    /// the calling thread's scope. Never affects predictions.
     pub trace: obskit::TraceContext,
 }
 
@@ -45,6 +47,6 @@ pub trait Predictor {
     /// Display name for report tables.
     fn name(&self) -> String;
 
-    /// Predict SQL for one dev item.
+    /// Predict SQL for one dev item, inside [`PredictCtx::trace`].
     fn predict(&self, ctx: &PredictCtx<'_>, item: &ExampleItem) -> Prediction;
 }

@@ -71,28 +71,15 @@ impl RunResult {
 }
 
 /// Knobs for [`evaluate_opts`] beyond the core inputs.
+#[derive(Default)]
 pub struct EvalOptions {
     /// Worker-thread override. `None` falls back to the `DAIL_THREADS`
     /// environment variable, then to available parallelism.
     pub threads: Option<usize>,
-    /// Trace sink. Per-item `predict`/`score` spans and per-worker cost
-    /// counters are recorded here; pass [`obskit::Recorder::disabled`]
-    /// (the default) for a zero-cost run.
-    pub recorder: obskit::Recorder,
     /// Score through the analyzed executor and build a query-digest rollup
     /// in [`RunResult::digests`]. Off by default: scores are identical
     /// either way, but the analyzed path pays per-operator bookkeeping.
     pub digests: bool,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            threads: None,
-            recorder: obskit::Recorder::disabled(),
-            digests: false,
-        }
-    }
 }
 
 /// Resolve the worker-thread count: explicit override, then `DAIL_THREADS`,
@@ -135,7 +122,10 @@ fn resolve_threads(threads: Option<usize>, n_items: usize) -> usize {
 /// Evaluate a predictor over `items`, running chunks on worker threads.
 ///
 /// Per-item seeds derive from `seed ^ item.id`, so results are independent
-/// of thread count and item order. Shorthand for [`evaluate_opts`] with
+/// of thread count and item order. Under an enabled recorder (see
+/// [`obskit::Recorder::enter`]) the run records an `evaluate` span with
+/// one `item` span per item, split into `predict` and `score` children
+/// that hold every pipeline layer's spans, plus per-item cost counters. Shorthand for [`evaluate_opts`] with
 /// [`EvalOptions::default`].
 pub fn evaluate(
     bench: &Benchmark,
@@ -169,7 +159,7 @@ pub fn evaluate_opts(
 ) -> RunResult {
     let threads = resolve_threads(opts.threads, items.len());
     let chunk = items.len().div_ceil(threads.max(1)).max(1);
-    let rec = &opts.recorder;
+    let rec = obskit::current();
     let eval_span = rec.span("evaluate");
     rec.set_gauge("eval.threads", threads as f64);
 
@@ -178,9 +168,9 @@ pub fn evaluate_opts(
     let (scored, digests): (Vec<Scored>, Option<DigestAccumulator>) = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for part in items.chunks(chunk) {
-            // Workers buffer trace events locally; the buffers are absorbed
-            // below in chunk order, so trace ordering is independent of
-            // thread scheduling.
+            // Each worker records into its own recorder; the buffers are
+            // absorbed below in chunk order, so trace ordering is
+            // independent of thread scheduling.
             let wrec = if rec.is_enabled() {
                 obskit::Recorder::enabled()
             } else {
@@ -191,6 +181,7 @@ pub fn evaluate_opts(
             let handle = {
                 let wrec = wrec.clone();
                 scope.spawn(move || {
+                    let _scope = wrec.enter();
                     let tokenizer = Tokenizer::new();
                     let ctx = PredictCtx {
                         bench,
@@ -204,13 +195,13 @@ pub fn evaluate_opts(
                     let part_scores = part
                         .iter()
                         .map(|item| {
-                            let item_span = wrec.span("item");
+                            let _item = wrec.span("item");
                             let pred = {
-                                let _s = item_span.child("predict");
+                                let _s = wrec.span("predict");
                                 predictor.predict(&ctx, item)
                             };
                             let score = {
-                                let _s = item_span.child("score");
+                                let _s = wrec.span("score");
                                 match &mut acc {
                                     Some(acc) => {
                                         let (score, observed) =
@@ -414,19 +405,21 @@ mod tests {
         let items = &bench.dev[..6.min(bench.dev.len())];
         let opts = EvalOptions {
             threads: Some(2),
-            recorder: obskit::Recorder::enabled(),
             digests: false,
         };
-        let r = evaluate_opts(&bench, &selector, &Oracle, items, 1, false, &opts);
-        let m = opts.recorder.metrics();
+        let rec = obskit::Recorder::enabled();
+        let r = {
+            let _scope = rec.enter();
+            evaluate_opts(&bench, &selector, &Oracle, items, 1, false, &opts)
+        };
+        let m = rec.metrics();
         assert_eq!(m.counters["eval.items"], items.len() as u64);
         assert_eq!(
             m.counters["eval.prompt_tokens"],
             r.cost.prompt_tokens as u64
         );
         // One predict + one score span per item, plus the evaluate span.
-        let ends: Vec<String> = opts
-            .recorder
+        let ends: Vec<String> = rec
             .events()
             .iter()
             .filter_map(|e| match e {
@@ -447,12 +440,12 @@ mod tests {
         let run = |threads: usize| {
             let opts = EvalOptions {
                 threads: Some(threads),
-                recorder: obskit::Recorder::enabled(),
                 digests: false,
             };
+            let rec = obskit::Recorder::enabled();
+            let _scope = rec.enter();
             evaluate_opts(&bench, &selector, &Oracle, items, 1, false, &opts);
-            opts.recorder
-                .drain_trace()
+            rec.drain_trace()
                 .into_iter()
                 // The thread-count gauge is the one legitimately varying bit.
                 .filter(|e| e.name() != "eval.threads")
@@ -461,5 +454,104 @@ mod tests {
         // Event equality excludes timestamps, so identical workloads give
         // identical traces regardless of parallelism.
         assert_eq!(run(1), run(3));
+    }
+
+    #[test]
+    fn harness_spans_hold_every_pipeline_layer() {
+        let bench = Benchmark::generate(BenchmarkConfig::tiny());
+        let selector = ExampleSelector::new(&bench);
+        let dail = dail_core::DailSql::new(SimLlm::new("gpt-4").unwrap());
+        let items = &bench.dev[..10.min(bench.dev.len())];
+        let opts = EvalOptions {
+            threads: Some(2),
+            digests: false,
+        };
+        let untraced = evaluate_opts(&bench, &selector, &dail, items, 5, false, &opts);
+        let rec = obskit::Recorder::enabled();
+        let traced = {
+            let _scope = rec.enter();
+            evaluate_opts(&bench, &selector, &dail, items, 5, false, &opts)
+        };
+        assert_eq!(format!("{traced:?}"), format!("{untraced:?}"));
+
+        let mut names = BTreeMap::new();
+        let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        let mut order = Vec::new();
+        for e in rec.events() {
+            if let obskit::Event::SpanStart {
+                id, parent, name, ..
+            } = e
+            {
+                if let Some(p) = parent {
+                    children.entry(p).or_default().push(id);
+                }
+                order.push(id);
+                names.insert(id, name);
+            }
+        }
+        let named = |want: &str| -> Vec<u64> {
+            order
+                .iter()
+                .copied()
+                .filter(|id| names[id] == want)
+                .collect()
+        };
+        let child_names = |id: u64| -> Vec<&str> {
+            children
+                .get(&id)
+                .into_iter()
+                .flatten()
+                .map(|c| names[c].as_str())
+                .collect()
+        };
+
+        let predicts = named("predict");
+        assert_eq!(predicts.len(), items.len());
+        for id in predicts {
+            let mut below = Vec::new();
+            let mut stack = vec![id];
+            while let Some(s) = stack.pop() {
+                for &c in children.get(&s).into_iter().flatten() {
+                    below.push(names[&c].as_str());
+                    stack.push(c);
+                }
+            }
+            for layer in [
+                "promptkit.build_prompt",
+                "promptkit.select",
+                "simllm.complete",
+            ] {
+                assert!(
+                    below.contains(&layer),
+                    "predict span lacks {layer}: {below:?}"
+                );
+            }
+        }
+
+        // Score spans come in item order (workers are absorbed in chunk
+        // order); a prediction that executed gets both scoring stages.
+        let tokenizer = Tokenizer::new();
+        let ctx = PredictCtx {
+            bench: &bench,
+            selector: &selector,
+            tokenizer: &tokenizer,
+            seed: 5,
+            realistic: false,
+            trace: obskit::TraceContext::disabled(),
+        };
+        let scores = named("score");
+        assert_eq!(scores.len(), items.len());
+        let mut valid = 0;
+        for (id, item) in scores.into_iter().zip(items) {
+            let pred = dail.predict(&ctx, item);
+            if score_item(bench.db(item), item, &pred.sql).valid {
+                valid += 1;
+                assert_eq!(child_names(id), vec!["eval.execution", "eval.comparison"]);
+            }
+        }
+        assert!(
+            valid > 0,
+            "no prediction executed; the check above was vacuous"
+        );
     }
 }

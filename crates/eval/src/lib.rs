@@ -5,8 +5,8 @@
 //! `sqlkit`'s canonicalizer) — tracks token/dollar costs, and drives the
 //! paper's ten experiments (E1–E10), each regenerating one table or figure.
 //!
-//! When the windowed metrics layer is live (`obskit::tsdb::installed()`),
-//! the CLI's serve-path scoring loop records each verdict as the
+//! When the current recorder owns a windowed metrics store
+//! (`obskit::Recorder::with_tsdb`), the CLI's serve-path scoring loop records each verdict as the
 //! `eval.ex_verdicts{db=,tenant=,verdict=correct|wrong}` counter series,
 //! stamped at the request's virtual completion time. Scoring itself never
 //! reads the tsdb — EX/EM numbers are byte-identical with telemetry on,
@@ -39,6 +39,6 @@ pub use digest::{DigestAccumulator, DigestEntry, QueryObs};
 pub use errors::{analyze_errors, classify_error, ErrorBreakdown, ErrorClass};
 pub use experiments::{ExperimentRunner, Scale};
 pub use harness::{evaluate, evaluate_opts, EvalOptions, RunResult};
-pub use metrics::{score_item, score_item_observed, score_item_traced, ItemScore};
+pub use metrics::{score_item, score_item_observed, ItemScore};
 pub use report::{f1, pct, usd, Table};
 pub use stats::{bootstrap_ci95, ConfidenceInterval};

@@ -16,27 +16,16 @@ pub struct ItemScore {
 }
 
 /// Score one predicted SQL string against an item's gold query.
+///
+/// Query execution runs in an `eval.execution` span and the result
+/// comparison in an `eval.comparison` span.
 pub fn score_item(db: &Database, item: &ExampleItem, pred_sql: &str) -> ItemScore {
-    score_item_traced(db, item, pred_sql, obskit::TraceContext::disabled())
-}
-
-/// [`score_item`] under a request trace context: query execution runs
-/// in an `eval.execution` span and the result comparison in an
-/// `eval.comparison` span, completing the per-request trace tree
-/// (admission → … → execution → comparison). Scores are identical to
-/// the untraced path.
-pub fn score_item_traced(
-    db: &Database,
-    item: &ExampleItem,
-    pred_sql: &str,
-    trace: obskit::TraceContext,
-) -> ItemScore {
     let Ok(pred) = parse_query(pred_sql) else {
         return ItemScore::default();
     };
     let em = exact_set_match(&item.gold, &pred);
     let executed = {
-        let (_span, _) = trace.span("eval.execution");
+        let _span = obskit::span("eval.execution");
         execute_query(db, &pred).map(|pred_rs| {
             let gold_rs = execute_query(db, &item.gold).expect("gold queries always execute");
             (pred_rs, gold_rs)
@@ -53,7 +42,7 @@ pub fn score_item_traced(
     };
     let ordered = has_top_level_order(&item.gold);
     let ex = {
-        let (_span, _) = trace.span("eval.comparison");
+        let _span = obskit::span("eval.comparison");
         results_match(&gold_rs, &pred_rs, ordered)
     };
     ItemScore {

@@ -5,9 +5,10 @@
 //! local recorders in chunk order, so nothing observable may depend on
 //! thread scheduling. Traces are compared through
 //! [`obskit::canonical_jsonl`], which zeroes wall-clock timestamps and
-//! durations (the only fields that legitimately vary run to run); the
-//! `eval.threads` gauge is filtered out because reporting the thread count
-//! is the gauge's whole job.
+//! durations; latency histograms (`*_ns`, measured on the wall clock) keep
+//! only their names and counts. Those are the only fields that
+//! legitimately vary run to run. The `eval.threads` gauge is filtered out
+//! because reporting the thread count is the gauge's whole job.
 
 use dail_core::DailSql;
 use eval::{evaluate_opts, EvalOptions, RunResult};
@@ -15,6 +16,23 @@ use obskit::canonical_jsonl;
 use promptkit::ExampleSelector;
 use simllm::SimLlm;
 use spider_gen::{Benchmark, BenchmarkConfig};
+
+/// Keep a wall-clock latency histogram's name and observation count only.
+fn zero_wall_clock_histogram(e: obskit::Event) -> obskit::Event {
+    match e {
+        obskit::Event::Histogram { name, count, .. } if name.ends_with("_ns") => {
+            obskit::Event::Histogram {
+                name,
+                count,
+                sum: 0,
+                min: 0,
+                max: 0,
+                buckets: Vec::new(),
+            }
+        }
+        other => other,
+    }
+}
 
 /// Run the full DAIL pipeline over the tiny benchmark with `threads`
 /// workers, returning the result and the canonicalised, filtered trace.
@@ -25,15 +43,18 @@ fn run(threads: usize) -> (RunResult, String) {
     let items = &bench.dev[..8.min(bench.dev.len())];
     let opts = EvalOptions {
         threads: Some(threads),
-        recorder: obskit::Recorder::enabled(),
         digests: false,
     };
-    let result = evaluate_opts(&bench, &selector, &predictor, items, 2023, false, &opts);
-    let events: Vec<obskit::Event> = opts
-        .recorder
+    let rec = obskit::Recorder::enabled();
+    let result = {
+        let _scope = rec.enter();
+        evaluate_opts(&bench, &selector, &predictor, items, 2023, false, &opts)
+    };
+    let events: Vec<obskit::Event> = rec
         .drain_trace()
         .into_iter()
         .filter(|e| e.name() != "eval.threads")
+        .map(zero_wall_clock_histogram)
         .collect();
     (result, canonical_jsonl(&events))
 }

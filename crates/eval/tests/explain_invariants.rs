@@ -10,7 +10,7 @@
 //!   exceeds the wall-clock measured around the call;
 //! - the analyzed path returns byte-for-byte the same result set as the
 //!   plain executor;
-//! - when global telemetry is on, the emitted `storage.exec` span's duration
+//! - under an enabled recorder, the emitted `storage.exec` span's duration
 //!   equals the plan's self-time total exactly.
 
 use proptest::prelude::*;
@@ -86,19 +86,13 @@ proptest! {
     }
 }
 
-/// With an enabled global recorder, every analyzed execution emits a
+/// Under an enabled recorder, every analyzed execution emits a
 /// `storage.exec` span whose duration equals the plan's self-time total
 /// exactly — the plan provably accounts for the whole span.
 #[test]
 fn exec_span_duration_equals_self_time_total() {
     let rec = obskit::Recorder::enabled();
-    // First-install wins process-wide; if another test got there first with
-    // a disabled recorder, the span is simply not emitted and this test
-    // would be vacuous — so only proceed when our recorder is live.
-    if !obskit::set_global(rec.clone()) && !obskit::enabled() {
-        return;
-    }
-    let rec = obskit::global();
+    let _scope = rec.enter();
     let b = bench();
     for item in b.dev.iter().take(10) {
         let before: Vec<obskit::Event> = rec.events();

@@ -10,6 +10,14 @@
 //!
 //! * [`Span`] — RAII timers with parent/child nesting (thread-local stack).
 //! * [`Recorder`] — thread-safe event sink; serializes traces to JSONL.
+//! * A thread-scoped *current* recorder: [`Recorder::enter`] makes a
+//!   recorder current on the calling thread until the returned [`Scope`]
+//!   guard drops, and every layer (`simllm`, `storage`, `promptkit`, …)
+//!   records into it through [`current`], [`span`] and [`enabled`] without
+//!   threading a handle through its signatures. Outside any scope the
+//!   current recorder is disabled, so the untraced path costs one
+//!   thread-local read per instrumentation site. Spawn sites that do
+//!   traced work capture [`current`] and enter it in each worker.
 //! * Named counters, gauges and log-scale latency [`Histogram`]s.
 //! * [`Profile`] — replays an event stream into a per-stage markdown
 //!   breakdown table (same visual style as `eval::report::Table`).
@@ -18,19 +26,16 @@
 //! * [`Flame`] — folds a span trace into merged stacks and renders
 //!   folded-stack text or a self-contained `flamegraph.svg`.
 //! * [`TraceContext`] — request-scoped context (request id, parent span
-//!   and a deterministic head-sampling decision) for explicit
-//!   cross-thread span parenting; one connected tree per served request.
+//!   and a deterministic head-sampling decision), entered at each thread
+//!   hop so a served request forms one connected span tree.
 //! * [`expo`] — Prometheus text exposition of the counters/gauges/log₂
 //!   histograms (and labelled [`tsdb`] series with `# exemplar` lines),
 //!   plus a validating mini-parser for tests.
 //! * [`tsdb`] — windowed time series: labelled series with a hard
 //!   cardinality bound, fixed-step ring-buffer windows (rates, windowed
 //!   quantiles), and per-window exemplars linking back to sampled
-//!   request traces. All on the virtual clock.
-//! * A process-global recorder ([`set_global`]/[`global`]) so deep layers
-//!   (`simllm`, `storage`, `promptkit`, …) can emit metrics without
-//!   threading a handle through every signature. The disabled path is a
-//!   single relaxed atomic load ([`enabled`]).
+//!   request traces. All on the virtual clock; a recorder owns its store
+//!   ([`Recorder::with_tsdb`]).
 //!
 //! Determinism: event *ordering* is stable for a fixed workload (workers
 //! buffer into local recorders that are absorbed in item order), and
@@ -57,56 +62,92 @@ pub use jsonl::{
     SKIPPED_LINES_COUNTER,
 };
 pub use profile::{fmt_ns, fmt_ns_delta, Profile, ProfileDiff, StageDelta, StageStats};
-pub use recorder::{MetricsSnapshot, Recorder, Span};
+pub use recorder::{current, enabled, span, MetricsSnapshot, Recorder, Scope, Span};
 pub use trace::TraceContext;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-static GLOBAL: OnceLock<Recorder> = OnceLock::new();
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Install `recorder` as the process-global recorder.
-///
-/// Returns `false` (and leaves the existing recorder in place) if a global
-/// recorder was already installed. Deep pipeline layers reach this recorder
-/// through [`global`]; they should gate any work on [`enabled`] first.
-pub fn set_global(recorder: Recorder) -> bool {
-    let enabled = recorder.is_enabled();
-    let installed = GLOBAL.set(recorder).is_ok();
-    if installed && enabled {
-        GLOBAL_ENABLED.store(true, Ordering::Relaxed);
-    }
-    installed
-}
-
-/// The process-global recorder (a disabled no-op recorder if none was set).
-pub fn global() -> &'static Recorder {
-    static DISABLED: OnceLock<Recorder> = OnceLock::new();
-    GLOBAL
-        .get()
-        .unwrap_or_else(|| DISABLED.get_or_init(Recorder::disabled))
-}
-
-/// Fast check: is an enabled global recorder installed?
-///
-/// One relaxed atomic load — cheap enough for the hottest loops.
-#[inline]
-pub fn enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::Relaxed)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn span_names(r: &Recorder) -> Vec<String> {
+        r.events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::SpanStart { name, .. } => Some(name),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn global_defaults_to_disabled() {
-        // Note: other tests in this binary may install a global recorder;
-        // this test only asserts the *fallback* is a no-op sink.
-        let r = Recorder::disabled();
-        assert!(!r.is_enabled());
-        r.add_counter("x", 1);
-        assert!(r.events().is_empty());
+    fn threads_with_separate_scopes_record_only_their_own_events() {
+        let (a, b) = (Recorder::enabled(), Recorder::enabled());
+        std::thread::scope(|scope| {
+            for (rec, name) in [(&a, "a"), (&b, "b")] {
+                scope.spawn(move || {
+                    let _g = rec.enter();
+                    for _ in 0..100 {
+                        let _s = span(name);
+                        current().add_counter(name, 1);
+                    }
+                });
+            }
+        });
+        for (rec, mine, theirs) in [(&a, "a", "b"), (&b, "b", "a")] {
+            let names = span_names(rec);
+            assert_eq!(names.len(), 100);
+            assert!(names.iter().all(|n| n == mine), "{names:?}");
+            let counters = rec.metrics().counters;
+            assert_eq!(counters[mine], 100);
+            assert!(!counters.contains_key(theirs));
+        }
+    }
+
+    #[test]
+    fn dropping_a_nested_guard_restores_the_outer_recorder() {
+        let (outer, inner) = (Recorder::enabled(), Recorder::enabled());
+        let _o = outer.enter();
+        {
+            let _i = inner.enter();
+            let _s = span("in");
+        }
+        let _s = span("out");
+        assert_eq!(span_names(&inner), vec!["in"]);
+        assert_eq!(span_names(&outer), vec!["out"]);
+    }
+
+    #[test]
+    fn a_thread_that_enters_nothing_records_nothing() {
+        let rec = Recorder::enabled();
+        let _g = rec.enter();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                assert!(!enabled());
+                assert!(span("lost").id().is_none());
+                current().add_counter("lost", 1);
+            });
+        });
+        assert!(rec.events().is_empty());
+        assert!(rec.metrics().counters.is_empty());
+    }
+
+    #[test]
+    fn a_sampled_out_context_records_no_spans_under_an_enabled_recorder() {
+        let rec = Recorder::enabled();
+        let _g = rec.enter();
+        {
+            let _req = TraceContext::root(3, false, None).enter();
+            assert!(span("dropped").id().is_none());
+            assert!(rec.record_span("dropped", 1).is_none());
+            current().meta("dropped", &[]);
+            current().add_counter("kept", 1);
+        }
+        let _s = span("after");
+        assert_eq!(
+            span_names(&rec),
+            vec!["after"],
+            "sampling ends with the scope"
+        );
+        assert_eq!(rec.metrics().counters["kept"], 1, "metrics still flow");
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Per-stage aggregate computed from span events.
@@ -110,10 +110,7 @@ impl Profile {
             fmt_ns(self.wall_ns)
         );
         if !self.metas.is_empty() {
-            for (name, fields) in &self.metas {
-                let kv: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                let _ = writeln!(s, "- **{name}**: {}", kv.join(", "));
-            }
+            self.render_metas(&mut s);
             let _ = writeln!(s);
         }
         if !self.stages.is_empty() {
@@ -173,6 +170,44 @@ impl Profile {
             }
         }
         s
+    }
+
+    /// One bullet per meta name, in first-seen order. A name seen once
+    /// shows its fields; a repeated name (per-request annotations, tsdb
+    /// windows) collapses to its event count and the number of distinct
+    /// values of each field, so the report stays readable at any load.
+    fn render_metas(&self, s: &mut String) {
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for (name, _) in &self.metas {
+            *counts.entry(name).or_default() += 1;
+        }
+        let mut summarized = BTreeSet::new();
+        for (name, fields) in &self.metas {
+            let n = counts[name.as_str()];
+            if n == 1 {
+                let kv: Vec<String> = fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                let _ = writeln!(s, "- **{name}**: {}", kv.join(", "));
+                continue;
+            }
+            if !summarized.insert(name) {
+                continue;
+            }
+            let mut distinct: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+            let same_name = self.metas.iter().filter(|(m, _)| m == name);
+            for (k, v) in same_name.flat_map(|(_, f)| f) {
+                match distinct.iter_mut().find(|(key, _)| key == k) {
+                    Some((_, values)) => {
+                        values.insert(v);
+                    }
+                    None => distinct.push((k, BTreeSet::from([v.as_str()]))),
+                }
+            }
+            let fields: Vec<String> = distinct
+                .iter()
+                .map(|(k, values)| format!("{k}: {} distinct", values.len()))
+                .collect();
+            let _ = writeln!(s, "- **{name}**: {n} events; {}", fields.join(", "));
+        }
     }
 }
 
@@ -518,6 +553,37 @@ mod tests {
         assert!(md.contains("| lat | 1 |"), "{md}");
         assert!(md.contains("experiment.e1"), "{md}");
         assert!(md.contains("seed=2023"), "{md}");
+    }
+
+    #[test]
+    fn repeated_meta_names_collapse_to_one_summary_line() {
+        let meta = |name: &str, fields: &[(&str, &str)]| Event::Meta {
+            name: name.into(),
+            fields: fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        };
+        let mut ev = vec![meta("experiment.e1", &[("seed", "2023"), ("git", "abc")])];
+        for i in 0..500 {
+            let decision = if i % 3 == 0 { "shed" } else { "admit" };
+            ev.push(meta(
+                "servekit.admission.decision",
+                &[("request", &i.to_string()), ("decision", decision)],
+            ));
+        }
+        let md = Profile::from_events(&ev).to_markdown();
+        let bullets: Vec<&str> = md.lines().filter(|l| l.starts_with("- ")).collect();
+        assert_eq!(
+            bullets,
+            vec![
+                // Seen once: rendered exactly as before.
+                "- **experiment.e1**: seed=2023, git=abc",
+                "- **servekit.admission.decision**: 500 events; \
+                 request: 500 distinct, decision: 2 distinct",
+            ],
+            "{md}"
+        );
     }
 
     #[test]

@@ -1,21 +1,130 @@
-//! The event sink: spans, counters, gauges, histograms.
+//! The event sink: spans, counters, gauges, histograms — and the
+//! thread-scoped *current* recorder that every pipeline layer records into.
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use std::cell::RefCell;
+use crate::tsdb::Tsdb;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::io::Write as _;
+use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Stack marker for a request entered with no parent span: spans opened
+/// under it become trace roots. Real span ids start at 1.
+const ROOT: u64 = 0;
+
 thread_local! {
+    /// The recorder this thread records into: the innermost live
+    /// [`Recorder::enter`] scope, or a disabled recorder outside any.
+    static CURRENT: RefCell<Recorder> = const { RefCell::new(Recorder::disabled()) };
+    /// False inside a sampled-out request scope: spans and meta events are
+    /// dropped there, while counters, gauges and histograms keep flowing.
+    static TRACED: Cell<bool> = const { Cell::new(true) };
     /// Stack of `(recorder identity, span id)` for open spans on this
     /// thread, used for implicit parenting. The identity tag keeps one
     /// recorder's spans from parenting another's (worker recorders often
-    /// run on a thread that also has the main recorder's spans open).
+    /// run on a thread that also has the main recorder's spans open). An
+    /// entered [`crate::TraceContext`] pushes its parent span (or [`ROOT`])
+    /// here, so spans opened in its scope nest under that parent.
     static SPAN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The recorder the calling thread records into: the one entered by the
+/// innermost live [`Recorder::enter`] scope, or a disabled recorder when
+/// the thread entered none. Cloning is one `Arc` increment.
+pub fn current() -> Recorder {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Does the calling thread record? True inside the scope of an enabled
+/// recorder. Gate any work done only for telemetry (timers, formatting)
+/// on this.
+#[inline]
+pub fn enabled() -> bool {
+    CURRENT.with(|c| c.borrow().is_enabled())
+}
+
+/// Open a span named `name` on the [`current`] recorder, nested under the
+/// innermost open span of the thread's scope. Closing happens on drop.
+pub fn span(name: &str) -> Span {
+    CURRENT.with(|c| c.borrow().span(name))
+}
+
+/// Guard for a thread-scoped telemetry scope, returned by
+/// [`Recorder::enter`] and [`crate::TraceContext::enter`]. Dropping it
+/// restores the scope that was current when it was entered, so guards
+/// must be dropped in reverse order of entry (which Rust's lexical
+/// scoping does). Bound to the thread that entered it.
+#[must_use = "the scope ends when the guard is dropped"]
+pub struct Scope {
+    /// The recorder to restore (`None`: this scope did not replace it).
+    prev_recorder: Option<Recorder>,
+    prev_traced: bool,
+    /// The parent marker this scope pushed onto the span stack.
+    pushed: Option<(usize, u64)>,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Scope {
+    /// Enter a request scope on this thread: when `sampled`, spans nest
+    /// under `parent` (trace roots when `None`); otherwise spans and meta
+    /// events are switched off until the guard drops.
+    pub(crate) fn request(sampled: bool, parent: Option<u64>) -> Scope {
+        let pushed = if sampled {
+            CURRENT.with(|c| c.borrow().key()).map(|key| {
+                let entry = (key, parent.unwrap_or(ROOT));
+                SPAN_STACK.with(|s| s.borrow_mut().push(entry));
+                entry
+            })
+        } else {
+            None
+        };
+        Scope {
+            prev_recorder: None,
+            prev_traced: TRACED.replace(sampled),
+            pushed,
+            _thread_bound: PhantomData,
+        }
+    }
+
+    /// A scope that changes nothing.
+    pub(crate) fn inherit() -> Scope {
+        Scope {
+            prev_recorder: None,
+            prev_traced: TRACED.get(),
+            pushed: None,
+            _thread_bound: PhantomData,
+        }
+    }
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        if let Some(entry) = self.pushed {
+            unlink(entry);
+        }
+        TRACED.set(self.prev_traced);
+        if let Some(prev) = self.prev_recorder.take() {
+            CURRENT.with(|c| *c.borrow_mut() = prev);
+        }
+    }
+}
+
+/// Remove `entry` from this thread's span stack (innermost match first).
+fn unlink(entry: (usize, u64)) {
+    SPAN_STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        if stack.last() == Some(&entry) {
+            stack.pop();
+        } else if let Some(pos) = stack.iter().rposition(|&x| x == entry) {
+            // Out-of-order drop (span moved or leaked); still unlink it.
+            stack.remove(pos);
+        }
+    });
 }
 
 struct Inner {
@@ -25,6 +134,7 @@ struct Inner {
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     hists: Mutex<BTreeMap<String, Histogram>>,
+    tsdb: Option<Mutex<Tsdb>>,
 }
 
 /// A thread-safe trace/metrics sink.
@@ -51,12 +161,23 @@ pub struct MetricsSnapshot {
 
 impl Recorder {
     /// A no-op recorder: records nothing, costs one branch per call.
-    pub fn disabled() -> Recorder {
+    pub const fn disabled() -> Recorder {
         Recorder { inner: None }
     }
 
     /// An enabled in-memory recorder.
     pub fn enabled() -> Recorder {
+        Recorder::build(None)
+    }
+
+    /// An enabled recorder that also owns a windowed time-series store,
+    /// reached through [`Recorder::tsdb`] and drained into the trace with
+    /// [`Tsdb::drain_into`].
+    pub fn with_tsdb(tsdb: Tsdb) -> Recorder {
+        Recorder::build(Some(tsdb))
+    }
+
+    fn build(tsdb: Option<Tsdb>) -> Recorder {
         Recorder {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
@@ -65,6 +186,7 @@ impl Recorder {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 hists: Mutex::new(BTreeMap::new()),
+                tsdb: tsdb.map(Mutex::new),
             })),
         }
     }
@@ -75,33 +197,55 @@ impl Recorder {
         self.inner.is_some()
     }
 
-    /// Open a span named `name`, parented to the innermost open span on
-    /// this thread (if any). Closing happens on drop.
-    pub fn span(&self, name: &str) -> Span {
-        let Some(inner) = &self.inner else {
-            return Span { data: None };
-        };
-        let key = Arc::as_ptr(inner) as usize;
-        let parent = SPAN_STACK.with(|s| {
+    /// Make this recorder the calling thread's [`current`] recorder until
+    /// the returned guard drops. Every layer below records into it without
+    /// taking a handle. The scope records spans even when entered inside a
+    /// sampled-out request. A thread spawned inside the scope starts
+    /// outside it: spawn sites that do traced work capture [`current`] and
+    /// enter it in the worker.
+    pub fn enter(&self) -> Scope {
+        let prev = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), self.clone()));
+        Scope {
+            prev_recorder: Some(prev),
+            prev_traced: TRACED.replace(true),
+            pushed: None,
+            _thread_bound: PhantomData,
+        }
+    }
+
+    /// Run `f` against this recorder's windowed time-series store;
+    /// `None` when it owns none (see [`Recorder::with_tsdb`]).
+    pub fn tsdb<R>(&self, f: impl FnOnce(&mut Tsdb) -> R) -> Option<R> {
+        let store = self.inner.as_ref()?.tsdb.as_ref()?;
+        Some(f(&mut store.lock().unwrap()))
+    }
+
+    /// Identity tag of an enabled recorder on the span stack.
+    fn key(&self) -> Option<usize> {
+        self.inner.as_ref().map(|inner| Arc::as_ptr(inner) as usize)
+    }
+
+    /// The innermost open span of the recorder `key` on this thread.
+    fn parent(key: usize) -> Option<u64> {
+        SPAN_STACK.with(|s| {
             s.borrow()
                 .iter()
                 .rev()
                 .find(|(k, _)| *k == key)
                 .map(|(_, id)| *id)
-        });
-        self.start_span_with(inner, name, parent)
+                .filter(|&id| id != ROOT)
+        })
     }
 
-    /// Open a span explicitly parented to `parent` (use across threads,
-    /// where the thread-local stack can't see the caller's spans).
-    pub fn span_under(&self, name: &str, parent: Option<u64>) -> Span {
-        let Some(inner) = &self.inner else {
+    /// Open a span named `name`, parented to the innermost open span of
+    /// this recorder on this thread (if any). Closing happens on drop.
+    /// Records nothing inside a sampled-out request scope.
+    pub fn span(&self, name: &str) -> Span {
+        let Some(inner) = self.inner.as_ref().filter(|_| TRACED.get()) else {
             return Span { data: None };
         };
-        self.start_span_with(inner, name, parent)
-    }
-
-    fn start_span_with(&self, inner: &Arc<Inner>, name: &str, parent: Option<u64>) -> Span {
+        let key = Arc::as_ptr(inner) as usize;
+        let parent = Recorder::parent(key);
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let t_ns = inner.epoch.elapsed().as_nanos() as u64;
         inner.events.lock().unwrap().push(Event::SpanStart {
@@ -110,7 +254,7 @@ impl Recorder {
             name: name.to_string(),
             t_ns,
         });
-        SPAN_STACK.with(|s| s.borrow_mut().push((Arc::as_ptr(inner) as usize, id)));
+        SPAN_STACK.with(|s| s.borrow_mut().push((key, id)));
         Span {
             data: Some(SpanData {
                 recorder: self.clone(),
@@ -166,17 +310,10 @@ impl Recorder {
     /// clock skew); instead of letting the subtraction clamp silently, the
     /// span is recorded at now with zero duration and the
     /// `obskit.span.clamped` counter is incremented. Returns the span id
-    /// (`None` when disabled).
+    /// (`None` when disabled or inside a sampled-out request scope).
     pub fn record_span(&self, name: &str, dur_ns: u64) -> Option<u64> {
-        let inner = self.inner.as_ref()?;
-        let key = Arc::as_ptr(inner) as usize;
-        let parent = SPAN_STACK.with(|s| {
-            s.borrow()
-                .iter()
-                .rev()
-                .find(|(k, _)| *k == key)
-                .map(|(_, id)| *id)
-        });
+        let inner = self.inner.as_ref().filter(|_| TRACED.get())?;
+        let parent = Recorder::parent(Arc::as_ptr(inner) as usize);
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         let t_ns = inner.epoch.elapsed().as_nanos() as u64;
         let (start_ns, dur_ns) = if dur_ns > t_ns {
@@ -200,9 +337,12 @@ impl Recorder {
         Some(id)
     }
 
-    /// Attach a free-form key/value annotation event.
+    /// Attach a free-form key/value annotation event. Dropped inside a
+    /// sampled-out request scope, like spans.
     pub fn meta(&self, name: &str, fields: &[(&str, String)]) {
-        let Some(inner) = &self.inner else { return };
+        let Some(inner) = self.inner.as_ref().filter(|_| TRACED.get()) else {
+            return;
+        };
         inner.events.lock().unwrap().push(Event::Meta {
             name: name.to_string(),
             fields: fields
@@ -352,16 +492,7 @@ impl Recorder {
 
     fn end_span(&self, id: u64, name: &str, start: Instant) {
         let Some(inner) = &self.inner else { return };
-        let entry = (Arc::as_ptr(inner) as usize, id);
-        SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if stack.last() == Some(&entry) {
-                stack.pop();
-            } else if let Some(pos) = stack.iter().rposition(|&x| x == entry) {
-                // Out-of-order drop (span moved or leaked); still unlink it.
-                stack.remove(pos);
-            }
-        });
+        unlink((Arc::as_ptr(inner) as usize, id));
         inner.events.lock().unwrap().push(Event::SpanEnd {
             id,
             name: name.to_string(),
@@ -384,24 +515,10 @@ pub struct Span {
 }
 
 impl Span {
-    /// A dead (no-op) span: records nothing on drop. Used by
-    /// [`crate::TraceContext`] on the unsampled path.
-    pub fn dead() -> Span {
-        Span { data: None }
-    }
-
-    /// This span's id, usable as an explicit parent for cross-thread
-    /// children ([`Recorder::span_under`]). `None` on the no-op path.
+    /// This span's id, usable as the parent of a [`crate::TraceContext`]
+    /// handed to another thread. `None` on the no-op path.
     pub fn id(&self) -> Option<u64> {
         self.data.as_ref().map(|d| d.id)
-    }
-
-    /// Open a child span of this span on the current thread.
-    pub fn child(&self, name: &str) -> Span {
-        match &self.data {
-            Some(d) => d.recorder.span_under(name, Some(d.id)),
-            None => Span { data: None },
-        }
     }
 }
 
@@ -423,8 +540,6 @@ mod tests {
         {
             let s = r.span("root");
             assert!(s.id().is_none());
-            let c = s.child("inner");
-            assert!(c.id().is_none());
         }
         r.add_counter("c", 5);
         r.set_gauge("g", 1.0);

@@ -1,53 +1,59 @@
-//! Request-scoped trace contexts: explicit span parenting across
-//! queues, caches and worker threads, with deterministic head sampling.
+//! Request-scoped trace contexts: span parenting across queues, caches
+//! and worker threads, with deterministic head sampling.
 //!
-//! The thread-local span stack in [`crate::Recorder`] gives implicit
-//! parenting *within* one thread, but a served request hops threads: it
-//! is admitted on the submission thread, waits in a queue, runs its
-//! retry attempts on a worker, and is EX-scored after the serving loop
-//! has drained. A [`TraceContext`] carries the request identity and the
-//! current parent span id across those hops so every span a request
-//! touches lands in one connected tree under one request root.
+//! Within one thread, spans nest implicitly through the thread's open-span
+//! stack under the recorder entered with [`crate::Recorder::enter`]. A
+//! served request hops threads, though: it is admitted on the submission
+//! thread, waits in a queue, runs its retry attempts on a worker, and is
+//! EX-scored after the serving loop has drained. A [`TraceContext`]
+//! carries the request id, the parent span and the sampling decision
+//! across each hop; the receiving thread enters it
+//! ([`TraceContext::enter`]), and every span any layer opens in that scope
+//! lands in the request's tree.
 //!
 //! Sampling is *head-based* and deterministic: the decision is made
 //! once at admission from `(seed, request_id, rate)` via [`sample`], so
 //! the same seed always samples the same requests — traces stay
-//! reproducible under load. A sampled-out context is indistinguishable
-//! from a disabled one: its [`TraceContext::span`] returns a no-op
-//! [`Span`] and emits nothing, while counters/gauges/histograms (which
-//! are not request-scoped) keep flowing through the global recorder.
+//! reproducible under load. Entering a sampled-out context switches span
+//! and meta recording off for its scope, while counters, gauges and
+//! histograms (which are not request-scoped) keep flowing into the current
+//! recorder.
 
-use crate::recorder::Span;
+use crate::recorder::Scope;
 
-/// A request-scoped tracing context: request id, current parent span,
-/// and the head-sampling decision. `Copy`, so it can be threaded through
-/// call chains and stored in queue items without lifetime plumbing.
+/// A request-scoped tracing context: request id, parent span, and the
+/// head-sampling decision. `Copy`, so it can be stored in queue items and
+/// handed to other threads without lifetime plumbing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     request_id: u64,
     parent: Option<u64>,
     sampled: bool,
+    /// False for [`TraceContext::disabled`]: no request, nothing to enter.
+    live: bool,
 }
 
 impl TraceContext {
-    /// A context that records nothing (the default for un-traced paths).
+    /// No request context: entering it leaves the thread's scope as it is.
     pub const fn disabled() -> TraceContext {
         TraceContext {
             request_id: 0,
             parent: None,
             sampled: false,
+            live: false,
         }
     }
 
-    /// A new root context for `request_id`. Spans opened through it are
-    /// parented under `parent` (e.g. a batch-level span), or become
-    /// trace roots when `parent` is `None`. `sampled: false` yields a
-    /// no-op context that still carries the request id.
+    /// A context for `request_id` whose spans nest under `parent` (e.g. a
+    /// batch-level span), or become trace roots when `parent` is `None`.
+    /// `sampled: false` yields a context that records no spans but still
+    /// carries the request id.
     pub const fn root(request_id: u64, sampled: bool, parent: Option<u64>) -> TraceContext {
         TraceContext {
             request_id,
             parent,
             sampled,
+            live: true,
         }
     }
 
@@ -56,41 +62,27 @@ impl TraceContext {
         self.request_id
     }
 
-    /// The span id new children will be parented under.
+    /// The span id spans opened in this context's scope nest under.
     pub fn parent_span(&self) -> Option<u64> {
         self.parent
     }
 
-    /// Will [`TraceContext::span`] actually record? True only when this
-    /// request was sampled *and* an enabled global recorder is installed.
+    /// Do spans opened in this context's scope record? True only for a
+    /// sampled request on a thread whose current recorder is enabled.
     #[inline]
     pub fn is_recording(&self) -> bool {
-        self.sampled && crate::enabled()
+        self.live && self.sampled && crate::enabled()
     }
 
-    /// Open a span named `name` on the global recorder, explicitly
-    /// parented to this context's parent span, and return it together
-    /// with a child context whose parent is the new span. On the no-op
-    /// path (unsampled, or tracing disabled) returns a dead span and
-    /// `self` unchanged.
-    pub fn span(&self, name: &str) -> (Span, TraceContext) {
-        if !self.is_recording() {
-            return (Span::dead(), *self);
-        }
-        let span = crate::global().span_under(name, self.parent);
-        let child = TraceContext {
-            request_id: self.request_id,
-            parent: span.id(),
-            sampled: true,
-        };
-        (span, child)
-    }
-
-    /// Attach a key/value annotation event, gated on the sampling
-    /// decision like [`TraceContext::span`].
-    pub fn meta(&self, name: &str, fields: &[(&str, String)]) {
-        if self.is_recording() {
-            crate::global().meta(name, fields);
+    /// Enter this request on the calling thread until the guard drops:
+    /// spans opened by any layer nest under [`TraceContext::parent_span`]
+    /// in the current recorder, or — for a sampled-out request — are not
+    /// recorded at all. [`TraceContext::disabled`] changes nothing.
+    pub fn enter(&self) -> Scope {
+        if self.live {
+            Scope::request(self.sampled, self.parent)
+        } else {
+            Scope::inherit()
         }
     }
 }
@@ -134,28 +126,59 @@ mod tests {
     use crate::{Event, Recorder};
 
     #[test]
-    fn disabled_context_records_nothing() {
+    fn disabled_context_inherits_the_scope() {
         let ctx = TraceContext::disabled();
         assert!(!ctx.is_recording());
-        let (span, child) = ctx.span("x");
-        assert!(span.id().is_none());
-        assert_eq!(child, ctx);
+        let r = Recorder::enabled();
+        let _g = r.enter();
+        let outer = crate::span("outer");
+        {
+            let _req = ctx.enter();
+            let _s = crate::span("inner");
+        }
+        match &r.events()[1] {
+            Event::SpanStart { parent, .. } => assert_eq!(*parent, outer.id()),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
-    fn span_chain_links_parent_ids() {
-        // Use a local recorder through span_under to test the linking
-        // logic without depending on the process-global recorder.
+    fn entered_context_parents_spans_across_threads() {
         let r = Recorder::enabled();
-        let root = r.span_under("root", None);
-        let child = r.span_under("child", root.id());
-        let ev = r.events();
-        match &ev[1] {
-            Event::SpanStart { parent, .. } => assert_eq!(*parent, root.id()),
-            other => panic!("unexpected {other:?}"),
+        let _g = r.enter();
+        let root = crate::span("root");
+        let ctx = TraceContext::root(7, true, root.id());
+        let worker = crate::current();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _g = worker.enter();
+                let _req = ctx.enter();
+                assert!(ctx.is_recording());
+                let _s = crate::span("hop");
+            });
+        });
+        // A parentless context makes its spans trace roots, even with an
+        // open span on the thread.
+        {
+            let _req = TraceContext::root(8, true, None).enter();
+            let _s = crate::span("orphan");
         }
-        drop(child);
-        drop(root);
+        let parents: Vec<(String, Option<u64>)> = r
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::SpanStart { name, parent, .. } => Some((name, parent)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            parents,
+            vec![
+                ("root".to_string(), None),
+                ("hop".to_string(), root.id()),
+                ("orphan".to_string(), None),
+            ]
+        );
     }
 
     #[test]

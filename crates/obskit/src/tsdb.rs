@@ -39,8 +39,6 @@ use crate::event::Event;
 use crate::hist::Histogram;
 use crate::recorder::Recorder;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// Configuration of a [`Tsdb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,8 +253,8 @@ impl Series {
 /// A deterministic, virtual-clock-driven windowed time-series store.
 ///
 /// See the [module docs](self) for the model. Not internally
-/// synchronized — wrap in a `Mutex` for shared use (the process-global
-/// instance installed via [`install`] is).
+/// synchronized — wrap in a `Mutex` for shared use (a store owned by a
+/// [`Recorder`], see [`Recorder::with_tsdb`], is).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tsdb {
     cfg: TsdbConfig,
@@ -665,53 +663,6 @@ impl SlidingCounts {
     }
 }
 
-static GLOBAL_TSDB: OnceLock<Mutex<Tsdb>> = OnceLock::new();
-static TSDB_INSTALLED: AtomicBool = AtomicBool::new(false);
-
-/// Install `tsdb` as the process-global store. Returns `false` (leaving
-/// the existing store in place) if one was already installed. Like the
-/// global [`Recorder`](crate::set_global), this is how deep layers
-/// (servekit, eval scoring) record series without threading a handle.
-pub fn install(tsdb: Tsdb) -> bool {
-    let ok = GLOBAL_TSDB.set(Mutex::new(tsdb)).is_ok();
-    if ok {
-        TSDB_INSTALLED.store(true, Ordering::Relaxed);
-    }
-    ok
-}
-
-/// Fast check: is a global store installed? One relaxed atomic load, so
-/// recording paths can skip label formatting entirely when off.
-#[inline]
-pub fn installed() -> bool {
-    TSDB_INSTALLED.load(Ordering::Relaxed)
-}
-
-/// Run `f` against the global store; `None` when none is installed.
-pub fn with<R>(f: impl FnOnce(&mut Tsdb) -> R) -> Option<R> {
-    if !installed() {
-        return None;
-    }
-    let m = GLOBAL_TSDB.get()?;
-    Some(f(&mut m.lock().unwrap()))
-}
-
-/// [`Tsdb::counter`] against the global store (no-op when none).
-pub fn counter(metric: &str, labels: &[(&str, &str)], t_ms: u64, delta: u64) {
-    with(|t| t.counter(metric, labels, t_ms, delta));
-}
-
-/// [`Tsdb::observe`] against the global store (no-op when none).
-pub fn observe(
-    metric: &str,
-    labels: &[(&str, &str)],
-    t_ms: u64,
-    value: u64,
-    exemplar_request: Option<u64>,
-) {
-    with(|t| t.observe(metric, labels, t_ms, value, exemplar_request));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -919,13 +870,14 @@ mod tests {
     }
 
     #[test]
-    fn global_free_functions_are_noops_without_install() {
-        // Never install in tests (OnceLock is process-wide); the free
-        // functions must be silent no-ops.
-        if !installed() {
-            counter("x", &[], 0, 1);
-            observe("y", &[], 0, 1, None);
-            assert!(with(|_| ()).is_none());
-        }
+    fn a_recorder_owns_its_store() {
+        // A plain recorder has no store; one built with a store records
+        // into it, and two recorders never share one.
+        assert!(Recorder::enabled().tsdb(|_| ()).is_none());
+        let a = Recorder::with_tsdb(small());
+        let b = Recorder::with_tsdb(small());
+        a.tsdb(|t| t.counter("req", &[], 0, 3));
+        assert_eq!(a.tsdb(|t| t.get("req").map(Series::total)), Some(Some(3)));
+        assert_eq!(b.tsdb(|t| t.get("req").is_none()), Some(true));
     }
 }

@@ -68,6 +68,8 @@ pub struct PromptBundle {
 ///
 /// `preliminary` is the draft prediction used by QRS/DAIL selection.
 /// `use_realistic` switches to the Spider-Realistic question surface.
+/// Assembly runs in a `promptkit.build_prompt` span, with the selection
+/// stage as a `promptkit.select` child.
 #[allow(clippy::too_many_arguments)]
 pub fn build_prompt(
     cfg: &PromptConfig,
@@ -79,36 +81,8 @@ pub fn build_prompt(
     tokenizer: &Tokenizer,
     seed: u64,
 ) -> PromptBundle {
-    build_prompt_traced(
-        cfg,
-        bench,
-        selector,
-        item,
-        preliminary,
-        use_realistic,
-        tokenizer,
-        seed,
-        obskit::TraceContext::disabled(),
-    )
-}
-
-/// [`build_prompt`] under a request trace context: assembly runs inside
-/// a `promptkit.build_prompt` span, with the selection stage as a
-/// `promptkit.select` child. The produced prompt is identical to the
-/// untraced path.
-#[allow(clippy::too_many_arguments)]
-pub fn build_prompt_traced(
-    cfg: &PromptConfig,
-    bench: &Benchmark,
-    selector: &ExampleSelector<'_>,
-    item: &ExampleItem,
-    preliminary: Option<&Query>,
-    use_realistic: bool,
-    tokenizer: &Tokenizer,
-    seed: u64,
-    trace: obskit::TraceContext,
-) -> PromptBundle {
-    let (_span, tctx) = trace.span("promptkit.build_prompt");
+    let rec = obskit::current();
+    let _span = rec.span("promptkit.build_prompt");
     let question = if use_realistic {
         &item.question_realistic
     } else {
@@ -119,14 +93,13 @@ pub fn build_prompt_traced(
         DomainMasker::new(spec.domain_terms()).mask(question)
     });
 
-    let mut examples = selector.select_traced(
+    let mut examples = selector.select(
         cfg.selection,
         question,
         &masked,
         preliminary,
         cfg.shots,
         seed ^ item.id as u64,
-        tctx,
     );
 
     let schema = &bench.db(item).schema;
@@ -141,16 +114,13 @@ pub fn build_prompt_traced(
         let text = format!("{examples_text}{target}");
         let tokens = tokenizer.count(&text);
         if tokens <= cfg.max_tokens || examples.is_empty() {
-            if obskit::enabled() {
-                let g = obskit::global();
-                g.add_counter("promptkit.prompts_built", 1);
-                g.add_counter("promptkit.examples_emitted", examples.len() as u64);
-                g.add_counter(
-                    "promptkit.examples_dropped",
-                    (requested - examples.len()) as u64,
-                );
-                g.add_counter("promptkit.tokens_budgeted", tokens as u64);
-            }
+            rec.add_counter("promptkit.prompts_built", 1);
+            rec.add_counter("promptkit.examples_emitted", examples.len() as u64);
+            rec.add_counter(
+                "promptkit.examples_dropped",
+                (requested - examples.len()) as u64,
+            );
+            rec.add_counter("promptkit.tokens_budgeted", tokens as u64);
             return PromptBundle {
                 text,
                 tokens,

@@ -27,7 +27,7 @@ pub mod organize;
 pub mod repr;
 pub mod select;
 
-pub use builder::{build_prompt, build_prompt_traced, PromptBundle, PromptConfig};
+pub use builder::{build_prompt, PromptBundle, PromptConfig};
 pub use organize::{render_examples, OrganizationStrategy};
 pub use repr::{render_prompt, render_schema, QuestionRepr, ReprOptions};
 pub use retrievekit::RetrievalMode;

@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use retrievekit::{
-    top_k, top_k_cosine_traced, EmbeddingMatrix, FeatureCache, IvfIndex, IvfParams,
-    QuantizedMatrix, RetrievalMode, SnapshotError, SnapshotSection, SECTION_IVF,
+    top_k, top_k_cosine, EmbeddingMatrix, FeatureCache, IvfIndex, IvfParams, QuantizedMatrix,
+    RetrievalMode, SnapshotError, SnapshotSection, SECTION_IVF,
 };
 use spider_gen::{Benchmark, ExampleItem};
 use sqlkit::{Query, Skeleton};
@@ -173,24 +173,21 @@ impl<'a> ExampleSelector<'a> {
     /// sharded scan when no ANN state exists, else the IVF probe (with
     /// int8 candidate generation and exact rerank in `ivf-int8` mode).
     /// Every path ends in full-precision f32 scores with score-desc /
-    /// index-asc tie-breaking.
+    /// index-asc tie-breaking. Runs in a `retrievekit.score` span.
     fn retrieve(
         &self,
         matrix: &EmbeddingMatrix,
         ann: &Option<AnnState>,
         query: &[f32],
         k: usize,
-        trace: obskit::TraceContext,
     ) -> Vec<(f32, u32)> {
+        let _span = obskit::span("retrievekit.score");
         match ann {
-            None => top_k_cosine_traced(matrix, query, matrix.len(), k, trace),
-            Some(a) => {
-                let (_span, _) = trace.span("retrievekit.score");
-                match &a.quant {
-                    Some(qm) => a.index.search_quantized(matrix, qm, query, k),
-                    None => a.index.search(matrix, query, k),
-                }
-            }
+            None => top_k_cosine(matrix, query, matrix.len(), k),
+            Some(a) => match &a.quant {
+                Some(qm) => a.index.search_quantized(matrix, qm, query, k),
+                None => a.index.search(matrix, query, k),
+            },
         }
     }
 
@@ -239,6 +236,9 @@ impl<'a> ExampleSelector<'a> {
     /// * `preliminary` — a draft prediction for the target, required by QRS
     ///   and used by DAIL when present.
     /// * `seed` — drives the Random strategy (and tie-breaking shuffles).
+    ///
+    /// Runs in a `promptkit.select` span, with the retrieval scan in a
+    /// `retrievekit.score` child span.
     pub fn select(
         &self,
         strategy: SelectionStrategy,
@@ -248,43 +248,14 @@ impl<'a> ExampleSelector<'a> {
         k: usize,
         seed: u64,
     ) -> Vec<&'a ExampleItem> {
-        self.select_traced(
-            strategy,
-            target_question,
-            masked_target,
-            preliminary,
-            k,
-            seed,
-            obskit::TraceContext::disabled(),
-        )
-    }
-
-    /// [`ExampleSelector::select`] under a request trace context: the
-    /// selection runs inside a `promptkit.select` span with the
-    /// retrieval scan in a `retrievekit.score` child span. Selections
-    /// are identical to the untraced path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn select_traced(
-        &self,
-        strategy: SelectionStrategy,
-        target_question: &str,
-        masked_target: &str,
-        preliminary: Option<&Query>,
-        k: usize,
-        seed: u64,
-        trace: obskit::TraceContext,
-    ) -> Vec<&'a ExampleItem> {
         if k == 0 || self.pool.is_empty() {
             return Vec::new();
         }
-        let (_span, tctx) = trace.span("promptkit.select");
-        let timed = obskit::enabled();
-        let started = timed.then(std::time::Instant::now);
-        if timed {
-            let g = obskit::global();
-            g.add_counter("promptkit.selections", 1);
-            g.add_counter("promptkit.candidates_scored", self.pool.len() as u64);
-        }
+        let rec = obskit::current();
+        let _span = rec.span("promptkit.select");
+        let started = rec.is_enabled().then(std::time::Instant::now);
+        rec.add_counter("promptkit.selections", 1);
+        rec.add_counter("promptkit.candidates_scored", self.pool.len() as u64);
         let picked = self.select_inner(
             strategy,
             target_question,
@@ -292,15 +263,13 @@ impl<'a> ExampleSelector<'a> {
             preliminary,
             k,
             seed,
-            tctx,
         );
         if let Some(t0) = started {
-            obskit::global().observe("retrievekit.select_ns", t0.elapsed().as_nanos() as u64);
+            rec.observe("retrievekit.select_ns", t0.elapsed().as_nanos() as u64);
         }
         picked
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn select_inner(
         &self,
         strategy: SelectionStrategy,
@@ -309,7 +278,6 @@ impl<'a> ExampleSelector<'a> {
         preliminary: Option<&Query>,
         k: usize,
         seed: u64,
-        trace: obskit::TraceContext,
     ) -> Vec<&'a ExampleItem> {
         let k = k.min(self.pool.len());
         match strategy {
@@ -322,11 +290,11 @@ impl<'a> ExampleSelector<'a> {
             }
             SelectionStrategy::QuestionSimilarity => {
                 let f = self.target_features(target_question, masked_target);
-                self.take(self.retrieve(&self.raw, &self.raw_ann, &f.raw, k, trace))
+                self.take(self.retrieve(&self.raw, &self.raw_ann, &f.raw, k))
             }
             SelectionStrategy::MaskedQuestionSimilarity => {
                 let f = self.target_features(target_question, masked_target);
-                self.take(self.retrieve(&self.masked, &self.masked_ann, &f.masked, k, trace))
+                self.take(self.retrieve(&self.masked, &self.masked_ann, &f.masked, k))
             }
             SelectionStrategy::QuerySimilarity => {
                 let Some(pq) = preliminary else {
@@ -339,11 +307,10 @@ impl<'a> ExampleSelector<'a> {
                         None,
                         k,
                         seed,
-                        trace,
                     );
                 };
                 let sk = Skeleton::of(pq);
-                let (_score_span, _) = trace.span("retrievekit.score");
+                let _score_span = obskit::span("retrievekit.score");
                 self.take(top_k(self.skeletons.iter().map(|s| s.similarity(&sk)), k))
             }
             SelectionStrategy::Dail => {
@@ -363,14 +330,11 @@ impl<'a> ExampleSelector<'a> {
                         // a question — it only computes `pool_k` skeleton
                         // similarities.
                         let pool_k = (4 * k).max(16).min(self.pool.len());
-                        let by_q =
-                            self.retrieve(&self.masked, &self.masked_ann, &f.masked, pool_k, trace);
-                        if obskit::enabled() {
-                            // The skeleton re-ranking stage scores each
-                            // shortlisted candidate once more.
-                            obskit::global()
-                                .add_counter("promptkit.candidates_scored", by_q.len() as u64);
-                        }
+                        let by_q = self.retrieve(&self.masked, &self.masked_ann, &f.masked, pool_k);
+                        // The skeleton re-ranking stage scores each
+                        // shortlisted candidate once more.
+                        obskit::current()
+                            .add_counter("promptkit.candidates_scored", by_q.len() as u64);
                         let mut shortlist: Vec<(f64, f32, u32)> = by_q
                             .into_iter()
                             .map(|(q_sim, idx)| {
@@ -392,13 +356,7 @@ impl<'a> ExampleSelector<'a> {
                             .map(|(_, _, i)| &self.pool[i as usize])
                             .collect()
                     }
-                    None => self.take(self.retrieve(
-                        &self.masked,
-                        &self.masked_ann,
-                        &f.masked,
-                        k,
-                        trace,
-                    )),
+                    None => self.take(self.retrieve(&self.masked, &self.masked_ann, &f.masked, k)),
                 }
             }
         }

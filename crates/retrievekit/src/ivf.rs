@@ -390,10 +390,9 @@ impl IvfIndex {
                 heap.push(matrix.cosine(id as usize, query), id);
             }
         }
-        if obskit::enabled() {
-            obskit::global().add_counter("retrievekit.scored", scanned);
-            obskit::global().add_counter("retrievekit.ivf_probes", n_probe as u64);
-        }
+        let g = obskit::current();
+        g.add_counter("retrievekit.scored", scanned);
+        g.add_counter("retrievekit.ivf_probes", n_probe as u64);
         heap.into_sorted()
     }
 
@@ -439,10 +438,9 @@ impl IvfIndex {
                 shortlist.push(quant.approx_cosine(id as usize, &qq), id);
             }
         }
-        if obskit::enabled() {
-            obskit::global().add_counter("retrievekit.scored", scanned);
-            obskit::global().add_counter("retrievekit.ivf_probes", n_probe as u64);
-        }
+        let g = obskit::current();
+        g.add_counter("retrievekit.scored", scanned);
+        g.add_counter("retrievekit.ivf_probes", n_probe as u64);
         let mut heap = TopK::new(k);
         for (_, id) in shortlist.into_sorted() {
             heap.push(matrix.cosine(id as usize, query), id);

@@ -43,7 +43,7 @@ pub use cache::FeatureCache;
 pub use ivf::{IvfIndex, IvfParams, RetrievalMode};
 pub use matrix::{dot, EmbeddingMatrix};
 pub use quant::{dot_i8, quantize_query, QuantizedMatrix, QuantizedQuery};
-pub use shard::{resolve_threads, top_k_cosine, top_k_cosine_traced, PARALLEL_THRESHOLD};
+pub use shard::{resolve_threads, top_k_cosine, PARALLEL_THRESHOLD};
 pub use snapshot::{
     load_snapshot, save_snapshot, save_snapshot_with_sections, Snapshot, SnapshotError,
     SnapshotSection, SECTION_IVF,

@@ -44,9 +44,7 @@ pub fn top_k_cosine(
     k: usize,
 ) -> Vec<(f32, u32)> {
     let rows = rows.min(matrix.len());
-    if obskit::enabled() {
-        obskit::global().add_counter("retrievekit.scored", rows as u64);
-    }
+    obskit::current().add_counter("retrievekit.scored", rows as u64);
     let threads = resolve_threads().min(rows.max(1));
     if rows < PARALLEL_THRESHOLD || threads <= 1 {
         return scan(matrix, query, 0, rows, k);
@@ -66,20 +64,6 @@ pub fn top_k_cosine(
             .collect()
     });
     merge_top_k(&lists, k)
-}
-
-/// [`top_k_cosine`] wrapped in a `retrievekit.score` span under the
-/// request's trace context. Scoring is unchanged — the span only makes
-/// the retrieval stage visible in per-request trace trees.
-pub fn top_k_cosine_traced(
-    matrix: &EmbeddingMatrix,
-    query: &[f32],
-    rows: usize,
-    k: usize,
-    trace: obskit::TraceContext,
-) -> Vec<(f32, u32)> {
-    let (_span, _) = trace.span("retrievekit.score");
-    top_k_cosine(matrix, query, rows, k)
 }
 
 /// One shard's streaming scan over rows `lo..hi` (global indices kept).

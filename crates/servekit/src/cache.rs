@@ -116,9 +116,7 @@ impl<V: Clone> PredictionCache<V> {
             entry.last_used = tick;
             let slot = Arc::clone(&entry.slot);
             g.stats.served += 1;
-            if obskit::enabled() {
-                obskit::global().add_counter("servekit.cache.served", 1);
-            }
+            obskit::current().add_counter("servekit.cache.served", 1);
             return Lookup::Shared(slot);
         }
         let slot = Arc::new(Slot::new());
@@ -143,14 +141,10 @@ impl<V: Clone> PredictionCache<V> {
             if let Some(victim) = victim {
                 g.map.remove(&victim);
                 g.stats.evictions += 1;
-                if obskit::enabled() {
-                    obskit::global().add_counter("servekit.cache.evictions", 1);
-                }
+                obskit::current().add_counter("servekit.cache.evictions", 1);
             }
         }
-        if obskit::enabled() {
-            obskit::global().add_counter("servekit.cache.miss", 1);
-        }
+        obskit::current().add_counter("servekit.cache.miss", 1);
         Lookup::Owner(slot)
     }
 

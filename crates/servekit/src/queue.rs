@@ -36,9 +36,7 @@ impl<T> BoundedQueue<T> {
     }
 
     fn note_depth(&self, depth: usize) {
-        if obskit::enabled() {
-            obskit::global().set_gauge("servekit.queue.depth", depth as f64);
-        }
+        obskit::current().set_gauge("servekit.queue.depth", depth as f64);
     }
 
     /// Non-blocking enqueue. Returns the item back when the queue is full

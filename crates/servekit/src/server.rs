@@ -70,8 +70,9 @@ pub struct ServeConfig {
     /// Head-sampling rate for request traces in `[0, 1]`. The decision
     /// is deterministic per request (`obskit::trace::sample` keyed on
     /// `faults.seed` and the request index), so the same seed always
-    /// traces the same requests. Only consulted when an enabled global
-    /// recorder is installed; never affects any served outcome.
+    /// traces the same requests. Only consulted when the calling thread
+    /// records (see `obskit::Recorder::enter`); never affects any served
+    /// outcome.
     pub trace_sample: f64,
 }
 
@@ -175,9 +176,9 @@ pub struct ServeOutput {
     /// Aggregate counters.
     pub stats: ServeStats,
     /// One trace context per input request, in input order, parented
-    /// under that request's `servekit.request` span. Callers use these
+    /// under that request's `servekit.request` span. Callers enter these
     /// to attach post-serve work (e.g. EX scoring) to the request tree;
-    /// unsampled requests carry a no-op context.
+    /// entering an unsampled request's context switches spans off.
     pub traces: Vec<obskit::TraceContext>,
 }
 
@@ -337,12 +338,9 @@ pub fn serve(
     reqs: &[ServeReq],
     cfg: &ServeConfig,
 ) -> ServeOutput {
-    let span = if obskit::enabled() {
-        Some(obskit::global().span("servekit.serve"))
-    } else {
-        None
-    };
-    let serve_span_id = span.as_ref().and_then(|s| s.id());
+    let rec = obskit::current();
+    let span = rec.span("servekit.serve");
+    let serve_span_id = span.id();
 
     let inj = FaultInjector::new(cfg.faults);
     let cache: PredictionCache<Served> = PredictionCache::new(cfg.cache_capacity);
@@ -383,8 +381,11 @@ pub fn serve(
             let inj = &inj;
             let retries = &retries;
             let panics = &panics;
+            let rec = &rec;
             scope.spawn(move || {
+                let _scope = rec.enter();
                 while let Some(work) = queue.pop() {
+                    let _request = work.trace.enter();
                     let served =
                         run_attempts(predictor, ctx, &items[work.item_idx], inj, &work, cfg);
                     retries.fetch_add(u64::from(work.sim.attempts - 1), Ordering::Relaxed);
@@ -408,13 +409,17 @@ pub fn serve(
         // happen in request order, which is what makes every counter
         // deterministic.
         for (i, req) in reqs.iter().enumerate() {
-            let sampled = obskit::enabled()
+            let sampled = rec.is_enabled()
                 && obskit::trace::sample(cfg.faults.seed, i as u64, cfg.trace_sample);
             sampled_count += u64::from(sampled);
-            let root = obskit::TraceContext::root(i as u64, sampled, serve_span_id);
-            let (req_span, rctx) = root.span("servekit.request");
+            let _request = obskit::TraceContext::root(i as u64, sampled, serve_span_id).enter();
+            let req_span = rec.span("servekit.request");
+            let rctx = obskit::TraceContext::root(i as u64, sampled, req_span.id());
             req_spans.push(req_span);
             traces.push(rctx);
+            // Spans below nest under the request span, which stays open
+            // (in `req_spans`) until outcomes are assembled.
+            let _in_request = rctx.enter();
 
             let key = keys[i].as_str();
             let is_first = !first_admitted.contains_key(key);
@@ -424,9 +429,9 @@ pub fn serve(
                 CACHE_HIT_COST_MS
             };
             let offered = {
-                let (_adm_span, actx) = rctx.span("servekit.admission");
+                let _adm_span = rec.span("servekit.admission");
                 let offered = admission.offer(req.arrival_ms, service_ms);
-                actx.meta(
+                rec.meta(
                     "servekit.admission.decision",
                     &[
                         ("request", i.to_string()),
@@ -438,9 +443,9 @@ pub fn serve(
                 );
                 offered
             };
-            if obskit::tsdb::installed() {
+            rec.tsdb(|t| {
                 let tenant = format!("t{}", req.tenant);
-                obskit::tsdb::counter(
+                t.counter(
                     "servekit.requests",
                     &[
                         ("db", items[req.item_idx].db_id.as_str()),
@@ -450,7 +455,7 @@ pub fn serve(
                     req.arrival_ms,
                     1,
                 );
-            }
+            });
             let Some(wait_ms) = offered else {
                 stats.shed += 1;
                 routes.push(Route::Shed);
@@ -465,15 +470,15 @@ pub fn serve(
                 // Simulated queue wait: the span records the structure
                 // (its duration is wall-clock; `wait_ms` is the number
                 // every report uses).
-                let (_wait_span, wctx) = rctx.span("servekit.queue_wait");
-                wctx.meta(
+                let _wait_span = rec.span("servekit.queue_wait");
+                rec.meta(
                     "servekit.queue_wait.simulated",
                     &[("wait_ms", wait_ms.to_string())],
                 );
             }
-            let (cache_span, cctx) = rctx.span("servekit.cache_lookup");
+            let cache_span = rec.span("servekit.cache_lookup");
             let lookup = cache.begin(key);
-            cctx.meta(
+            rec.meta(
                 "servekit.cache_lookup.route",
                 &[(
                     "route",
@@ -545,13 +550,13 @@ pub fn serve(
                         }
                     }
                 };
-                if obskit::tsdb::installed() {
+                rec.tsdb(|t| {
                     let req = &reqs[i];
                     let tenant = format!("t{}", req.tenant);
                     // Completion time on the virtual clock: arrival plus
                     // the simulated end-to-end latency.
                     let done_ms = req.arrival_ms + latency_ms;
-                    obskit::tsdb::observe(
+                    t.observe(
                         "servekit.latency_ms",
                         &[
                             ("db", items[req.item_idx].db_id.as_str()),
@@ -568,14 +573,14 @@ pub fn serve(
                         Outcome::Overloaded => 1,
                     };
                     if attempts > 1 {
-                        obskit::tsdb::counter(
+                        t.counter(
                             "servekit.retry",
                             &[("tenant", &tenant)],
                             done_ms,
                             u64::from(attempts - 1),
                         );
                     }
-                }
+                });
                 outcomes.push(outcome);
             }
         }
@@ -585,26 +590,25 @@ pub fn serve(
     // assembled, so the per-request trees are complete.
     drop(req_spans);
 
-    if obskit::enabled() {
-        let g = obskit::global();
-        g.add_counter("servekit.submitted", stats.submitted);
-        g.add_counter("servekit.admitted", stats.admitted);
-        g.add_counter("servekit.shed", stats.shed);
-        g.add_counter("servekit.shed.queue_full", stats.shed);
-        g.add_counter("servekit.failed.retries_exhausted", stats.failed);
-        g.add_counter("servekit.failed.deadline_exceeded", stats.deadline_exceeded);
-        g.add_counter("servekit.trace.sampled", sampled_count);
-        g.add_counter("servekit.trace.unsampled", stats.submitted - sampled_count);
-        g.add_counter("servekit.retries", stats.retries);
-        g.add_counter("servekit.panics", stats.panics);
+    if rec.is_enabled() {
+        rec.add_counter("servekit.submitted", stats.submitted);
+        rec.add_counter("servekit.admitted", stats.admitted);
+        rec.add_counter("servekit.shed", stats.shed);
+        rec.add_counter("servekit.shed.queue_full", stats.shed);
+        rec.add_counter("servekit.failed.retries_exhausted", stats.failed);
+        rec.add_counter("servekit.failed.deadline_exceeded", stats.deadline_exceeded);
+        rec.add_counter("servekit.trace.sampled", sampled_count);
+        rec.add_counter("servekit.trace.unsampled", stats.submitted - sampled_count);
+        rec.add_counter("servekit.retries", stats.retries);
+        rec.add_counter("servekit.panics", stats.panics);
         for &w in &stats.wait_ms {
-            g.observe("servekit.latency.wait_ms", w);
+            rec.observe("servekit.latency.wait_ms", w);
         }
         for &s in &stats.service_ms {
-            g.observe("servekit.latency.service_ms", s);
+            rec.observe("servekit.latency.service_ms", s);
         }
         for &t in &stats.total_ms {
-            g.observe("servekit.latency.total_ms", t);
+            rec.observe("servekit.latency.total_ms", t);
         }
     }
     drop(span);
@@ -620,10 +624,11 @@ pub fn serve(
 /// predictor once on success (under `catch_unwind`), apply the corruption
 /// fault, and map deadline/exhaustion to typed failures.
 ///
-/// When the owning request is traced, every simulated attempt opens a
-/// `servekit.attempt` span under the request span, and the predictor runs
-/// under the *final* attempt's context so the whole pipeline (prompt
-/// build, selection, model call) lands inside that attempt's subtree.
+/// Runs inside the owning request's entered trace context: every
+/// simulated attempt opens a `servekit.attempt` span under the request
+/// span, and the predictor runs inside the *final* attempt's span so the
+/// whole pipeline (prompt build, selection, model call) lands in that
+/// attempt's subtree.
 fn run_attempts(
     predictor: &(dyn Predictor + Sync),
     ctx: &PredictCtx<'_>,
@@ -639,9 +644,10 @@ fn run_attempts(
         SimKind::Success { .. } => attempts - 1,
         SimKind::Deadline | SimKind::Exhausted => attempts,
     };
+    let rec = obskit::current();
     for n in 0..faulted_attempts {
-        let (_attempt_span, actx) = work.trace.span("servekit.attempt");
-        actx.meta(
+        let _attempt_span = rec.span("servekit.attempt");
+        rec.meta(
             "servekit.attempt.outcome",
             &[
                 ("attempt", n.to_string()),
@@ -660,12 +666,8 @@ fn run_attempts(
         SimKind::Deadline => Served::DeadlineExceeded { attempts },
         SimKind::Exhausted => Served::Failed { attempts },
         SimKind::Success { corrupt } => {
-            let (_attempt_span, actx) = work.trace.span("servekit.attempt");
-            let traced_ctx = PredictCtx {
-                trace: actx,
-                ..*ctx
-            };
-            match catch_unwind(AssertUnwindSafe(|| predictor.predict(&traced_ctx, item))) {
+            let _attempt_span = rec.span("servekit.attempt");
+            match catch_unwind(AssertUnwindSafe(|| predictor.predict(ctx, item))) {
                 Ok(pred) => {
                     let sql = if corrupt {
                         inj.corrupt_sql(&pred.sql, &work.key, attempts - 1)

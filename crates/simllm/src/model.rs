@@ -26,9 +26,6 @@ pub struct GenOptions {
     pub temperature: f64,
     /// Sample index for self-consistency sampling.
     pub sample_index: u32,
-    /// Request trace context; when sampled, each completion opens a
-    /// `simllm.complete` span under it. Never affects the output text.
-    pub trace: obskit::TraceContext,
 }
 
 impl Default for GenOptions {
@@ -37,7 +34,6 @@ impl Default for GenOptions {
             seed: 0,
             temperature: 0.0,
             sample_index: 0,
-            trace: obskit::TraceContext::disabled(),
         }
     }
 }
@@ -118,19 +114,19 @@ impl SimLlm {
     /// trace. The `response` field is byte-identical to what `complete`
     /// returns for the same inputs.
     pub fn complete_traced(&self, prompt: &str, opts: &GenOptions) -> CompletionTrace {
-        // Telemetry goes through the process-global recorder as counters and
-        // latency histograms only — aggregates are order-independent, so
-        // multi-threaded harness runs still produce deterministic traces.
-        let obs = obskit::enabled().then(std::time::Instant::now);
-        let (_gen_span, _gen_ctx) = opts.trace.span("simllm.complete");
+        // Telemetry: one `simllm.complete` span, plus counters and latency
+        // histograms — aggregates are order-independent, so multi-threaded
+        // harness runs still produce deterministic traces.
+        let rec = obskit::current();
+        let obs = rec.is_enabled().then(std::time::Instant::now);
+        let _span = rec.span("simllm.complete");
         let mut trace = CompletionTrace::default();
         let comprehend_t = obs.map(|_| std::time::Instant::now());
         let mut parsed = parse_prompt(prompt);
         if let Some(t) = comprehend_t {
-            let g = obskit::global();
-            g.observe("simllm.comprehend_ns", t.elapsed().as_nanos() as u64);
-            g.add_counter("simllm.tables_seen", parsed.tables.len() as u64);
-            g.add_counter("simllm.examples_seen", parsed.examples.len() as u64);
+            rec.observe("simllm.comprehend_ns", t.elapsed().as_nanos() as u64);
+            rec.add_counter("simllm.tables_seen", parsed.tables.len() as u64);
+            rec.add_counter("simllm.examples_seen", parsed.examples.len() as u64);
         }
 
         // Systematic decisions are seeded by the *information content* of
@@ -292,10 +288,9 @@ impl SimLlm {
             decode(fallback, &linker, &vals, &mut sys_rng, tier)
         });
         if let Some(t) = decode_t {
-            let g = obskit::global();
-            g.observe("simllm.decode_ns", t.elapsed().as_nanos() as u64);
+            rec.observe("simllm.decode_ns", t.elapsed().as_nanos() as u64);
             if query.is_none() {
-                g.add_counter("simllm.decode_fallbacks", 1);
+                rec.add_counter("simllm.decode_fallbacks", 1);
             }
         }
         let sql = match query {
@@ -336,9 +331,8 @@ impl SimLlm {
         trace.sql = sql.clone();
         trace.response = self.format_output(&sql, &parsed, alignment, &mut rng);
         if let Some(t) = obs {
-            let g = obskit::global();
-            g.add_counter("simllm.completions", 1);
-            g.observe("simllm.complete_ns", t.elapsed().as_nanos() as u64);
+            rec.add_counter("simllm.completions", 1);
+            rec.observe("simllm.complete_ns", t.elapsed().as_nanos() as u64);
         }
         trace
     }
@@ -496,7 +490,6 @@ mod tests {
                         temperature: 1.0,
                         sample_index: i,
                         seed: 5,
-                        ..Default::default()
                     },
                 )
             })

@@ -127,12 +127,10 @@ impl Benchmark {
             cfg.seed ^ 0x646576,
             &mut next_id,
         );
-        if obskit::enabled() {
-            let g = obskit::global();
-            g.add_counter("spidergen.benchmarks_generated", 1);
-            g.set_gauge("spidergen.train_size", train.len() as f64);
-            g.set_gauge("spidergen.dev_size", dev.len() as f64);
-        }
+        let g = obskit::current();
+        g.add_counter("spidergen.benchmarks_generated", 1);
+        g.set_gauge("spidergen.train_size", train.len() as f64);
+        g.set_gauge("spidergen.dev_size", dev.len() as f64);
         Benchmark {
             databases,
             specs,

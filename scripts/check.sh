@@ -14,7 +14,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> print lint (library crates must use obskit, not stdout)"
+echo "==> print lint (library crates must use obskit, not stdout or global telemetry)"
 # Library crates report through obskit; println!/eprintln! belong only in
 # CLI binaries (crates/bench/src/bin), examples, and the criterion shim
 # (whose whole job is printing). Doc-comment lines are exempt.
@@ -26,6 +26,28 @@ violations=$(grep -rn --include='*.rs' -E 'print(ln)?!|eprint(ln)?!' \
     || true)
 if [ -n "$violations" ]; then
     echo "found print statements in library code:" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+# Telemetry flows through the thread-scoped current recorder
+# (`Recorder::enter`), never through process-global state: no global
+# install/lookup calls, and no `static` holding a Recorder or Tsdb outside
+# a `thread_local!` block.
+violations=$(grep -rn --include='*.rs' -E 'set_global|obskit::global\(|tsdb::install' \
+    crates/*/src \
+    | grep -v '^crates/bench/src/bin/' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+    || true)
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/src/bin/*'); do
+    violations+=$(awk -v f="$f" '
+        /thread_local!/ { tl = 1 }
+        tl && /^[[:space:]]*}[[:space:]]*$/ { tl = 0 }
+        !tl && /^[[:space:]]*(pub(\([a-z]+\))? )?static [A-Za-z0-9_]+[[:space:]]*:.*(Recorder|Tsdb)/ {
+            print f ":" NR ":" $0
+        }' "$f")
+done
+if [ -n "$violations" ]; then
+    echo "found process-global telemetry in library code (enter a recorder scope instead):" >&2
     echo "$violations" >&2
     exit 1
 fi
