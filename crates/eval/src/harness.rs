@@ -437,14 +437,14 @@ mod tests {
         let bench = Benchmark::generate(BenchmarkConfig::tiny());
         let selector = ExampleSelector::new(&bench);
         let items = &bench.dev[..6.min(bench.dev.len())];
-        let run = |threads: usize| {
+        let run = |bench: &Benchmark, threads: usize| {
             let opts = EvalOptions {
                 threads: Some(threads),
                 digests: false,
             };
             let rec = obskit::Recorder::enabled();
             let _scope = rec.enter();
-            evaluate_opts(&bench, &selector, &Oracle, items, 1, false, &opts);
+            evaluate_opts(bench, &selector, &Oracle, items, 1, false, &opts);
             rec.drain_trace()
                 .into_iter()
                 // The thread-count gauge is the one legitimately varying bit.
@@ -452,8 +452,25 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         // Event equality excludes timestamps, so identical workloads give
-        // identical traces regardless of parallelism.
-        assert_eq!(run(1), run(3));
+        // identical traces regardless of parallelism. Each run gets its own
+        // clone of the benchmark, whose verdict memo starts empty.
+        assert_eq!(run(&bench.clone(), 1), run(&bench.clone(), 3));
+
+        // A repeat run on the same benchmark finds every verdict memoized.
+        let warm = bench.clone();
+        run(&warm, 3);
+        let counter = |trace: &[obskit::Event], want: &str| {
+            trace.iter().find_map(|e| match e {
+                obskit::Event::Counter { name, value } if name == want => Some(*value),
+                _ => None,
+            })
+        };
+        let again = run(&warm, 3);
+        assert_eq!(
+            counter(&again, "eval.verdict_memo.hits"),
+            Some(items.len() as u64)
+        );
+        assert_eq!(counter(&again, "eval.verdict_memo.misses"), None);
     }
 
     #[test]
@@ -466,11 +483,13 @@ mod tests {
             threads: Some(2),
             digests: false,
         };
-        let untraced = evaluate_opts(&bench, &selector, &dail, items, 5, false, &opts);
+        // Each run scores against its own clone, so neither finds the
+        // other's verdicts memoized.
+        let untraced = evaluate_opts(&bench.clone(), &selector, &dail, items, 5, false, &opts);
         let rec = obskit::Recorder::enabled();
         let traced = {
             let _scope = rec.enter();
-            evaluate_opts(&bench, &selector, &dail, items, 5, false, &opts)
+            evaluate_opts(&bench.clone(), &selector, &dail, items, 5, false, &opts)
         };
         assert_eq!(format!("{traced:?}"), format!("{untraced:?}"));
 

@@ -4,8 +4,8 @@ use crate::column::ColumnarTable;
 use crate::schema::{DbSchema, TableSchema};
 use crate::value::{Row, Value};
 use crate::ExecError;
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A table's contents.
 #[derive(Debug, Clone, Default)]
@@ -19,6 +19,12 @@ pub struct TableData {
 }
 
 /// An in-memory database instance.
+///
+/// Besides its contents it carries caches derived from them, each built on
+/// first use and dropped on [`Database::insert`]: the columnar view of each
+/// table, exact statistics ([`Database::cached_stats`]), and the EX-verdict
+/// memo ([`Database::memo_verdict`]). A clone starts with an empty verdict
+/// memo, so work measured on a clone runs cold.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The schema.
@@ -27,6 +33,25 @@ pub struct Database {
     tables: BTreeMap<String, TableData>,
     /// Lazily collected exact statistics; invalidated on insert.
     stats: OnceLock<crate::stats::DbStats>,
+    /// Memoized EX verdicts; invalidated on insert, empty in a clone.
+    verdicts: VerdictMemo,
+}
+
+/// Gold SQL text → predicted SQL text → EX verdict. Nested so a lookup by
+/// two `&str` keys allocates nothing.
+#[derive(Default)]
+struct VerdictMemo(Mutex<HashMap<String, HashMap<String, Option<bool>>>>);
+
+impl Clone for VerdictMemo {
+    fn clone(&self) -> VerdictMemo {
+        VerdictMemo::default()
+    }
+}
+
+impl std::fmt::Debug for VerdictMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("VerdictMemo")
+    }
 }
 
 impl Database {
@@ -41,6 +66,7 @@ impl Database {
             schema,
             tables,
             stats: OnceLock::new(),
+            verdicts: VerdictMemo::default(),
         }
     }
 
@@ -62,6 +88,7 @@ impl Database {
         td.rows.push(row);
         td.columnar = OnceLock::new();
         self.stats = OnceLock::new();
+        self.verdicts = VerdictMemo::default();
         Ok(())
     }
 
@@ -97,6 +124,41 @@ impl Database {
     /// decisions are identical across entry points.
     pub fn cached_stats(&self) -> &crate::stats::DbStats {
         self.stats.get_or_init(|| crate::stats::collect(self))
+    }
+
+    /// The EX verdict of `pred_sql` against `gold_sql` on this database,
+    /// computed by `verdict` on first request and memoized until the next
+    /// [`Database::insert`]. The verdict is `None` when the prediction fails
+    /// to execute, otherwise whether the two result sets match.
+    ///
+    /// The memo is keyed on the two SQL texts alone, so `verdict` must be a
+    /// pure function of them and this database's contents. A lookup
+    /// allocates nothing, and the lock is not held while `verdict` runs:
+    /// threads that miss on the same pair concurrently each compute it and
+    /// store the same value.
+    pub fn memo_verdict(
+        &self,
+        gold_sql: &str,
+        pred_sql: &str,
+        verdict: impl FnOnce() -> Option<bool>,
+    ) -> Option<bool> {
+        let lock = || {
+            self.verdicts
+                .0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        if let Some(&v) = lock().get(gold_sql).and_then(|m| m.get(pred_sql)) {
+            return v;
+        }
+        let v = verdict();
+        let mut memo = lock();
+        let by_pred = match memo.get_mut(gold_sql) {
+            Some(m) => m,
+            None => memo.entry(gold_sql.to_owned()).or_default(),
+        };
+        by_pred.insert(pred_sql.to_owned(), v);
+        v
     }
 
     /// Look up a table schema by name.
@@ -186,6 +248,39 @@ mod tests {
             d.insert("nope", vec![]),
             Err(ExecError::UnknownTable(_))
         ));
+    }
+
+    #[test]
+    fn memo_verdict_computes_once_and_clears_on_insert() {
+        let mut d = db();
+        let calls = std::cell::Cell::new(0);
+        let verdict = |v| {
+            calls.set(calls.get() + 1);
+            v
+        };
+        assert_eq!(d.memo_verdict("g", "p", || verdict(Some(true))), Some(true));
+        assert_eq!(
+            d.memo_verdict("g", "p", || verdict(Some(false))),
+            Some(true)
+        );
+        assert_eq!(d.memo_verdict("g", "q", || verdict(None)), None);
+        assert_eq!(d.memo_verdict("g", "q", || verdict(Some(true))), None);
+        assert_eq!(calls.get(), 2);
+        d.insert("t", vec![Value::Int(1), Value::Null]).unwrap();
+        assert_eq!(
+            d.memo_verdict("g", "p", || verdict(Some(false))),
+            Some(false)
+        );
+        assert_eq!(calls.get(), 3);
+    }
+
+    #[test]
+    fn a_clone_starts_with_an_empty_memo() {
+        let d = db();
+        assert_eq!(d.memo_verdict("g", "p", || Some(true)), Some(true));
+        let c = d.clone();
+        assert_eq!(c.memo_verdict("g", "p", || Some(false)), Some(false));
+        assert_eq!(d.memo_verdict("g", "p", || Some(false)), Some(true));
     }
 
     #[test]

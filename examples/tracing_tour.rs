@@ -59,4 +59,14 @@ fn main() {
             .copied()
             .unwrap_or(0),
     );
+
+    // 6. Scoring memoizes each (gold, prediction) EX verdict on the
+    //    database it ran against, so a repeat run scores from the memo.
+    evaluate(&bench, &selector, &dail, items, 42, false);
+    let again = recorder.metrics().counters;
+    println!(
+        "a repeat run scored {} items from the verdict memo ({} misses in total)",
+        again.get("eval.verdict_memo.hits").copied().unwrap_or(0),
+        again.get("eval.verdict_memo.misses").copied().unwrap_or(0),
+    );
 }

@@ -14,6 +14,27 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
+echo "==> committed paper tables reproduce (results/ byte-equal to a regeneration)"
+# Every committed table under results/ must be exactly what run_experiments
+# writes today, and nothing may be missing or extra. After an intended
+# change, refresh them with:
+#   cargo run --release --offline -p bench --bin run_experiments
+regen=$(mktemp -d)
+if ! (cd "$regen" && cargo run -q --release --offline --manifest-path "$OLDPWD/Cargo.toml" \
+    -p bench --bin run_experiments) >target/results-regen.log 2>&1; then
+    echo "run_experiments failed; see target/results-regen.log" >&2
+    rm -rf "$regen"
+    exit 1
+fi
+if ! diff -r results "$regen/results" >target/results-diff.txt; then
+    echo "results/ differs from what run_experiments regenerates:" >&2
+    head -40 target/results-diff.txt >&2
+    rm -rf "$regen"
+    exit 1
+fi
+rm -rf "$regen"
+echo "    $(ls results | wc -l) files match"
+
 echo "==> print lint (library crates must use obskit, not stdout or global telemetry)"
 # Library crates report through obskit; println!/eprintln! belong only in
 # CLI binaries (crates/bench/src/bin), examples, and the criterion shim
