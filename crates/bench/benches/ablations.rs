@@ -31,15 +31,7 @@ fn ablate_join(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 black_box(
-                    execute_query_with(
-                        db,
-                        black_box(&q),
-                        ExecOptions {
-                            join: strat,
-                            ..ExecOptions::default()
-                        },
-                    )
-                    .unwrap(),
+                    execute_query_with(db, black_box(&q), ExecOptions { join: strat }).unwrap(),
                 )
             })
         });

@@ -67,8 +67,6 @@ fn main() {
         "slo-report" => slo_report(&flags),
         "select-bench" => select_bench(&flags),
         "run-experiments" => run_experiments(&flags),
-        "exec-diff" => exec_diff(&flags),
-        "exec-bench" => exec_bench(&flags),
         "profile" => profile_trace(&positional, &flags),
         "flame" => flame_trace(&positional, &flags),
         "metrics" => metrics_trace(&positional),
@@ -151,19 +149,6 @@ fn usage() {
          \u{20}\u{20}                                         exact scan vs ivf and ivf-int8\n\
          \u{20}\u{20}                                         retrieval with recall@k, training\n\
          \u{20}\u{20}                                         cost, and throughput per point\n\
-         \u{20}\u{20}exec-diff [--train N] [--dev N] [--seed N] [--corpus FILE.sql]\n\
-         \u{20}\u{20}                                         run every gold query through the\n\
-         \u{20}\u{20}                                         columnar engine AND the reference\n\
-         \u{20}\u{20}                                         interpreter (both join strategies);\n\
-         \u{20}\u{20}                                         exit 1 unless results are bit-identical;\n\
-         \u{20}\u{20}                                         --corpus replays one SQL-per-line file\n\
-         \u{20}\u{20}                                         on the fixed regression database instead\n\
-         \u{20}\u{20}exec-bench [--rows N] [--trace FILE.jsonl]\n\
-         \u{20}\u{20}                                         run a fixed scan/filter/join/aggregate\n\
-         \u{20}\u{20}                                         workload on a synthetic table through\n\
-         \u{20}\u{20}                                         the engine DAIL_EXEC selects\n\
-         \u{20}\u{20}                                         (columnar|oracle), recording\n\
-         \u{20}\u{20}                                         storage.exec spans for `profile`\n\
          \u{20}\u{20}run-experiments --experiment e1..e10|a1..a6 [--dev-cap N] [--seed N]\n\
          \u{20}\u{20}     [--full-grid] [--trace FILE.jsonl]   run one paper experiment, print its tables\n\
          \u{20}\u{20}profile TRACE.jsonl                      render a recorded trace as a\n\
@@ -306,8 +291,8 @@ fn digests_top_n(flags: &HashMap<String, String>) -> Option<usize> {
     }
 }
 
-/// `DAIL_ANALYZE` env toggle: route serve-bench EX scoring through the
-/// analyzed executor (per-operator accounting on) without changing any
+/// `DAIL_ANALYZE` env toggle: also run each serve-bench prediction through
+/// the analyzed executor (per-operator accounting on) without changing any
 /// printed number — the overhead-ceiling gate runs under this.
 fn analyze_from_env() -> bool {
     std::env::var("DAIL_ANALYZE")
@@ -411,293 +396,6 @@ fn stats_cmd(positional: &[&String], flags: &HashMap<String, String>) {
         }
         None => print!("{jsonl}"),
     }
-}
-
-/// Bit-exact result equality: stricter than `PartialEq` (NaN payloads and
-/// `-0.0` vs `0.0` both count) — the standard the differential gate holds
-/// the two engines to.
-fn results_bit_eq(a: &storage::ResultSet, b: &storage::ResultSet) -> bool {
-    use storage::Value;
-    fn cell(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            _ => a == b,
-        }
-    }
-    a.columns == b.columns
-        && a.rows.len() == b.rows.len()
-        && a.rows
-            .iter()
-            .zip(&b.rows)
-            .all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| cell(x, y)))
-}
-
-/// Run one SQL string through both engines under both join strategies;
-/// `Err` carries the divergence report.
-fn diff_one(db: &storage::Database, sql: &str) -> Result<(), String> {
-    use storage::{
-        execute_query_oracle_with, execute_query_with, Engine, ExecOptions, JoinStrategy,
-    };
-    let q = sqlkit::parse_query(sql).map_err(|e| format!("failed to parse ({e}): {sql}"))?;
-    for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
-        let opts = ExecOptions {
-            join,
-            engine: Engine::Columnar,
-        };
-        let oracle = execute_query_oracle_with(db, &q, opts);
-        let columnar = execute_query_with(db, &q, opts);
-        let agree = match (&oracle, &columnar) {
-            (Ok(a), Ok(b)) => results_bit_eq(a, b),
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        };
-        if !agree {
-            return Err(format!(
-                "ENGINE DIVERGENCE ({join:?}) on {sql}\n  oracle:   {oracle:?}\n  columnar: {columnar:?}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The fixed regression database for `--corpus` replays — a CLI mirror of
-/// `regression_db()` in `crates/storage/tests/exec_differential.rs` (keep
-/// the two in lockstep): every adversarial corner the differential suite
-/// shrinks onto, with `tag` deliberately left empty.
-fn diff_regression_db() -> storage::Database {
-    use storage::schema::{ColType, ColumnDef, DbSchema, ForeignKey, TableSchema};
-    use storage::Value;
-    const BIG: i64 = 9_007_199_254_740_992; // 2^53
-    let schema = DbSchema {
-        db_id: "diff".into(),
-        tables: vec![
-            TableSchema {
-                name: "person".into(),
-                columns: vec![
-                    ColumnDef::new("id", ColType::Int),
-                    ColumnDef::new("grp", ColType::Int),
-                    ColumnDef::new("score", ColType::Float),
-                    ColumnDef::new("name", ColType::Text),
-                ],
-                primary_key: vec![0],
-            },
-            TableSchema {
-                name: "visit".into(),
-                columns: vec![
-                    ColumnDef::new("vid", ColType::Int),
-                    ColumnDef::new("person_id", ColType::Int),
-                    ColumnDef::new("amount", ColType::Float),
-                ],
-                primary_key: vec![0],
-            },
-            TableSchema {
-                name: "tag".into(),
-                columns: vec![
-                    ColumnDef::new("tid", ColType::Int),
-                    ColumnDef::new("label", ColType::Text),
-                ],
-                primary_key: vec![0],
-            },
-        ],
-        foreign_keys: vec![ForeignKey {
-            from_table: "visit".into(),
-            from_column: "person_id".into(),
-            to_table: "person".into(),
-            to_column: "id".into(),
-        }],
-    };
-    let mut db = storage::Database::new(schema);
-    let people: Vec<(i64, Value, Value, Value)> = vec![
-        (0, Value::Int(1), Value::Float(0.0), Value::Str("a".into())),
-        (
-            1,
-            Value::Int(1),
-            Value::Float(-0.0),
-            Value::Str("ab".into()),
-        ),
-        (
-            2,
-            Value::Int(2),
-            Value::Float(f64::NAN),
-            Value::Str("b".into()),
-        ),
-        (3, Value::Null, Value::Null, Value::Null),
-        (
-            4,
-            Value::Int(BIG),
-            Value::Float(1.0),
-            Value::Str(String::new()),
-        ),
-        (
-            5,
-            Value::Int(BIG + 1),
-            Value::Float(1.0 + f64::EPSILON),
-            Value::Str("ac".into()),
-        ),
-        (6, Value::Int(3), Value::Float(0.5), Value::Str("a".into())),
-        (7, Value::Int(3), Value::Float(2.0), Value::Null),
-    ];
-    for (id, grp, score, name) in people {
-        db.insert("person", vec![Value::Int(id), grp, score, name])
-            .expect("regression row inserts");
-    }
-    let visits: Vec<(i64, Value, Value)> = vec![
-        (0, Value::Int(1), Value::Float(0.0)),
-        (1, Value::Int(1), Value::Float(-0.0)),
-        (2, Value::Int(2), Value::Float(f64::NAN)),
-        (3, Value::Null, Value::Float(1.0)),
-        (4, Value::Int(6), Value::Null),
-        (5, Value::Int(99), Value::Float(0.5)),
-    ];
-    for (vid, pid, amount) in visits {
-        db.insert("visit", vec![Value::Int(vid), pid, amount])
-            .expect("regression row inserts");
-    }
-    db
-}
-
-/// `exec-diff`: the differential oracle gate over the benchmark's gold
-/// queries. Every gold query runs through the columnar engine and the
-/// reference interpreter under both join strategies; any non-bit-identical
-/// result (or mismatched error) exits 1. `--corpus FILE` instead replays a
-/// one-SQL-per-line file (`#` comments and blank lines skipped) against
-/// the fixed regression database; a missing or unreadable file exits 2.
-fn exec_diff(flags: &HashMap<String, String>) {
-    if let Some(path) = flags.get("corpus") {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read corpus {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let db = diff_regression_db();
-        let mut n = 0usize;
-        for line in text.lines() {
-            let sql = line.trim();
-            if sql.is_empty() || sql.starts_with('#') {
-                continue;
-            }
-            if let Err(msg) = diff_one(&db, sql) {
-                eprintln!("{path}: {msg}");
-                std::process::exit(1);
-            }
-            n += 1;
-        }
-        println!(
-            "exec-diff: {n} corpus queries x 2 join strategies — columnar engine and \
-             reference interpreter agree bit-for-bit"
-        );
-        return;
-    }
-    let bench = bench_from_flags(flags);
-    let mut n = 0usize;
-    for item in bench.train.iter().chain(bench.dev.iter()) {
-        let db = bench.db(item);
-        if let Err(msg) = diff_one(db, &item.gold_sql) {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-        n += 1;
-    }
-    println!(
-        "exec-diff: {n} gold queries x 2 join strategies — columnar engine and \
-         reference interpreter agree bit-for-bit"
-    );
-}
-
-/// `exec-bench`: a fixed scan/filter/join/aggregate workload on a synthetic
-/// star schema (`--rows` fact rows), run through whichever engine
-/// `DAIL_EXEC` selects. The analyzed executor emits `storage.exec` spans,
-/// so two traced runs (columnar vs oracle) can be diffed with `profile` —
-/// that is the CI step-change gate. Result row counts go to stdout (the
-/// engines must agree on them); timing goes to stderr and the trace only.
-fn exec_bench(flags: &HashMap<String, String>) {
-    use storage::schema::{ColType, ColumnDef, DbSchema, TableSchema};
-    use storage::{Engine, Value};
-    let rows: usize = num_flag(flags, "rows", 50_000usize);
-    let (rec, trace_path) = setup_trace(flags);
-    let _scope = rec.enter();
-    let schema = DbSchema {
-        db_id: "exec_bench".into(),
-        tables: vec![
-            TableSchema {
-                name: "fact".into(),
-                columns: vec![
-                    ColumnDef::new("id", ColType::Int),
-                    ColumnDef::new("k", ColType::Int),
-                    ColumnDef::new("v", ColType::Float),
-                    ColumnDef::new("tag", ColType::Text),
-                ],
-                primary_key: vec![0],
-            },
-            TableSchema {
-                name: "dim".into(),
-                columns: vec![
-                    ColumnDef::new("k", ColType::Int),
-                    ColumnDef::new("label", ColType::Text),
-                ],
-                primary_key: vec![0],
-            },
-        ],
-        foreign_keys: vec![],
-    };
-    let mut db = storage::Database::new(schema);
-    for i in 0..rows {
-        db.insert(
-            "fact",
-            vec![
-                Value::Int(i as i64),
-                Value::Int((i % 97) as i64),
-                Value::Float((i % 1000) as f64 / 10.0),
-                Value::Str(format!("t{}", i % 7)),
-            ],
-        )
-        .unwrap();
-    }
-    for k in 0..97i64 {
-        db.insert("dim", vec![Value::Int(k), Value::Str(format!("label{k}"))])
-            .unwrap();
-    }
-    let queries = [
-        ("point", "SELECT count(*) FROM fact WHERE id = 12345"),
-        (
-            "range",
-            "SELECT count(*), sum(v) FROM fact WHERE id BETWEEN 1000 AND 2000",
-        ),
-        (
-            "filter",
-            "SELECT count(*) FROM fact WHERE k = 13 AND v > 50.0",
-        ),
-        ("like", "SELECT count(*) FROM fact WHERE tag LIKE 't1%'"),
-        (
-            "join",
-            "SELECT count(*) FROM fact AS F JOIN dim AS D ON F.k = D.k WHERE F.v < 25.0",
-        ),
-        (
-            "group",
-            "SELECT D.label, count(*), sum(F.v) FROM fact AS F JOIN dim AS D ON F.k = D.k \
-             GROUP BY D.label ORDER BY D.label ASC LIMIT 5",
-        ),
-    ];
-    let engine = match Engine::default() {
-        Engine::Columnar => "columnar",
-        Engine::Oracle => "oracle",
-    };
-    println!("# exec-bench: {rows} fact rows, engine {engine}");
-    let t0 = std::time::Instant::now();
-    for (name, sql) in queries {
-        let q = sqlkit::parse_query(sql).expect("workload SQL parses");
-        match storage::execute_query_analyzed(&db, &q, storage::ExecOptions::default(), None) {
-            Ok(an) => println!("{name}: {} rows", an.result.rows.len()),
-            Err(e) => {
-                eprintln!("exec-bench query {name} failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    eprintln!("exec-bench wall time: {:?}", t0.elapsed());
-    finish_trace(&rec, trace_path);
 }
 
 fn bench_from_flags(flags: &HashMap<String, String>) -> Benchmark {
@@ -1240,9 +938,9 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
     let reqs = servekit::generate(&load, bench.dev.len());
     let out = servekit::serve(predictor.as_ref(), &ctx, &bench.dev, &reqs, &cfg);
 
-    // Scoring path: the analyzed executor (per-operator accounting and
-    // digest rollup) is opt-in via `--digests` or `DAIL_ANALYZE=1`; scores
-    // are identical either way, so every printed number is unchanged.
+    // Scoring always goes through `score_item`. With `--digests` or
+    // `DAIL_ANALYZE=1` each prediction is also run through the analyzed
+    // executor for the digest rollup; no printed number depends on it.
     let analyze = digests_top_n(flags).is_some() || analyze_from_env();
     let mut digests = analyze.then(eval::DigestAccumulator::new);
     let mut ex: Vec<Option<bool>> = Vec::with_capacity(reqs.len());
@@ -1254,17 +952,11 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
             let item = &bench.dev[req.item_idx];
             let score = {
                 let _request = out.traces[i].enter();
-                match &mut digests {
-                    Some(acc) => {
-                        let (score, observed) =
-                            eval::score_item_observed(bench.db(item), item, sql);
-                        if let Some((q, obs)) = observed {
-                            acc.record(&q, obs, Some(score.ex));
-                        }
-                        score
-                    }
-                    None => eval::score_item(bench.db(item), item, sql),
+                let score = eval::score_item(bench.db(item), item, sql);
+                if let Some(acc) = &mut digests {
+                    acc.observe(bench.db(item), sql, score.ex);
                 }
+                score
             };
             rec.tsdb(|t| {
                 let tenant = format!("t{}", req.tenant);
@@ -1762,35 +1454,62 @@ fn select_bench(flags: &HashMap<String, String>) {
     }
 
     // Throughput trajectory over pool-size prefixes (the full pool last —
-    // its point is the headline speedup the CI floor gates on).
+    // its point is the headline speedup the CI floor gates on). The full
+    // pool is timed in FULL_POOL_ROUNDS rounds, each timing both paths with
+    // the first path alternating between rounds, and its speedup is the
+    // median per-round ratio: one round disturbed by host load cannot move
+    // it. Its q/s columns are the median times.
+    const FULL_POOL_ROUNDS: usize = 5;
     struct Point {
         rows: usize,
         fast_qps: f64,
         naive_qps: f64,
+        speedup: f64,
     }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
     let mut points: Vec<Point> = Vec::new();
     if timing {
-        for denom in [8usize, 4, 2, 1] {
-            let rows = (pool_n / denom).max(1);
+        let mut time_fast = |rows: usize| {
             let t0 = std::time::Instant::now();
             for t in &targets {
                 embed_into(t, &mut qbuf);
                 std::hint::black_box(top_k_cosine(&matrix, &qbuf, rows, k));
             }
-            let fast_s = t0.elapsed().as_secs_f64();
+            t0.elapsed().as_secs_f64().max(1e-9)
+        };
+        let time_naive = |rows: usize| {
             let t0 = std::time::Instant::now();
             for t in &targets {
                 std::hint::black_box(sb_naive_select(&naive_rows, rows, &embed(t), k));
             }
-            let naive_s = t0.elapsed().as_secs_f64();
+            t0.elapsed().as_secs_f64().max(1e-9)
+        };
+        for denom in [8usize, 4, 2, 1] {
+            let rows = (pool_n / denom).max(1);
+            let rounds = if denom == 1 { FULL_POOL_ROUNDS } else { 1 };
+            let (mut fast_s, mut naive_s) = (Vec::new(), Vec::new());
+            for round in 0..rounds {
+                if round % 2 == 0 {
+                    fast_s.push(time_fast(rows));
+                    naive_s.push(time_naive(rows));
+                } else {
+                    naive_s.push(time_naive(rows));
+                    fast_s.push(time_fast(rows));
+                }
+            }
+            let ratios = naive_s.iter().zip(&fast_s).map(|(n, f)| n / f).collect();
             points.push(Point {
                 rows,
-                fast_qps: queries_n as f64 / fast_s.max(1e-9),
-                naive_qps: queries_n as f64 / naive_s.max(1e-9),
+                fast_qps: queries_n as f64 / median(fast_s),
+                naive_qps: queries_n as f64 / median(naive_s),
+                speedup: median(ratios),
             });
         }
     }
-    let speedup = points.last().map(|p| p.fast_qps / p.naive_qps.max(1e-9));
+    let speedup = points.last().map(|p| p.speedup);
 
     let mut md = String::new();
     let _ = writeln!(md, "# select-bench report\n");
@@ -1823,10 +1542,7 @@ fn select_bench(flags: &HashMap<String, String>) {
             let _ = writeln!(
                 md,
                 "| {} | {:.1} | {:.1} | {:.2}x |",
-                p.rows,
-                p.naive_qps,
-                p.fast_qps,
-                p.fast_qps / p.naive_qps.max(1e-9)
+                p.rows, p.naive_qps, p.fast_qps, p.speedup
             );
         }
     } else {

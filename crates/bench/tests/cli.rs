@@ -1548,37 +1548,6 @@ fn store_flag_with_missing_dir_exits_2() {
 }
 
 #[test]
-fn exec_diff_corpus_missing_file_exits_2() {
-    let out = cli()
-        .args(["exec-diff", "--corpus", "/definitely/not/a/corpus.sql"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn exec_diff_replays_committed_corpora() {
-    for corpus in ["nulls_nan_zeros.sql", "joins_and_planner.sql"] {
-        let path = format!(
-            "{}/../../tests/golden/exec_diff/{corpus}",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let out = cli()
-            .args(["exec-diff", "--corpus", &path])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{corpus}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("corpus queries"), "{text}");
-        assert!(text.contains("agree bit-for-bit"), "{text}");
-    }
-}
-
-#[test]
 fn crash_injected_persist_recovers_to_identical_store() {
     let dir = std::env::temp_dir().join("dail_cli_crash_test");
     let clean = std::env::temp_dir().join("dail_cli_crash_clean");

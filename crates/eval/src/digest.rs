@@ -13,6 +13,7 @@
 use sqlkit::{Query, Skeleton};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use storage::{Database, ExecOptions};
 
 /// Observation attached to one executed query: executor self-time and rows
 /// scanned, both taken from the analyzed plan.
@@ -88,6 +89,25 @@ impl DigestAccumulator {
             e.ex_scored += 1;
             e.ex_fail += u64::from(!ok);
         }
+    }
+
+    /// Execute `pred_sql` on `db` through the analyzed executor and fold it
+    /// in with its EX verdict `ex` (from [`crate::score_item`]). A
+    /// prediction that does not parse is skipped: it has no shape to
+    /// digest. One that fails to execute is recorded with zeroed counters,
+    /// so `count` and EX-failure rates still include it.
+    pub fn observe(&mut self, db: &Database, pred_sql: &str, ex: bool) {
+        let Ok(q) = sqlkit::parse_query(pred_sql) else {
+            return;
+        };
+        let obs = match storage::execute_query_analyzed(db, &q, ExecOptions::default(), None) {
+            Ok(an) => QueryObs {
+                exec_ns: an.plan.total_self_ns(),
+                rows_scanned: an.plan.rows_scanned(),
+            },
+            Err(_) => QueryObs::default(),
+        };
+        self.record(&q, obs, Some(ex));
     }
 
     /// Merge another rollup into this one (used to combine worker-thread

@@ -3,7 +3,7 @@
 
 use crate::cost::CostTally;
 use crate::digest::DigestAccumulator;
-use crate::metrics::{score_item, score_item_observed, ItemScore};
+use crate::metrics::{score_item, ItemScore};
 use dail_core::{PredictCtx, Predictor};
 use promptkit::ExampleSelector;
 use spider_gen::{Benchmark, ExampleItem};
@@ -76,9 +76,10 @@ pub struct EvalOptions {
     /// Worker-thread override. `None` falls back to the `DAIL_THREADS`
     /// environment variable, then to available parallelism.
     pub threads: Option<usize>,
-    /// Score through the analyzed executor and build a query-digest rollup
-    /// in [`RunResult::digests`]. Off by default: scores are identical
-    /// either way, but the analyzed path pays per-operator bookkeeping.
+    /// Also run each prediction through the analyzed executor and build a
+    /// query-digest rollup in [`RunResult::digests`]. Off by default: scores
+    /// are identical either way, but the analyzed run pays per-operator
+    /// bookkeeping.
     pub digests: bool,
 }
 
@@ -202,17 +203,11 @@ pub fn evaluate_opts(
                             };
                             let score = {
                                 let _s = wrec.span("score");
-                                match &mut acc {
-                                    Some(acc) => {
-                                        let (score, observed) =
-                                            score_item_observed(bench.db(item), item, &pred.sql);
-                                        if let Some((q, obs)) = observed {
-                                            acc.record(&q, obs, Some(score.ex));
-                                        }
-                                        score
-                                    }
-                                    None => score_item(bench.db(item), item, &pred.sql),
+                                let score = score_item(bench.db(item), item, &pred.sql);
+                                if let Some(acc) = &mut acc {
+                                    acc.observe(bench.db(item), &pred.sql, score.ex);
                                 }
+                                score
                             };
                             wrec.add_counter("eval.items", 1);
                             wrec.add_counter("eval.prompt_tokens", pred.prompt_tokens as u64);

@@ -39,6 +39,6 @@ pub use digest::{DigestAccumulator, DigestEntry, QueryObs};
 pub use errors::{analyze_errors, classify_error, ErrorBreakdown, ErrorClass};
 pub use experiments::{ExperimentRunner, Scale};
 pub use harness::{evaluate, evaluate_opts, EvalOptions, RunResult};
-pub use metrics::{score_item, score_item_observed, ItemScore};
+pub use metrics::{score_item, ItemScore};
 pub use report::{f1, pct, usd, Table};
 pub use stats::{bootstrap_ci95, ConfidenceInterval};

@@ -66,48 +66,6 @@ pub fn score_item(db: &Database, item: &ExampleItem, pred_sql: &str) -> ItemScor
     }
 }
 
-/// [`score_item`] variant that executes the prediction through the analyzed
-/// path and returns, alongside the (identical) scores, the parsed prediction
-/// plus a [`QueryObs`] observation for the digest rollup.
-///
-/// Returns `None` for the observation only when the prediction does not
-/// parse (there is no query shape to digest). A prediction that parses but
-/// fails to execute is observed with zeroed counters so digest `count` and
-/// EX-failure rates still include it.
-pub fn score_item_observed(
-    db: &Database,
-    item: &ExampleItem,
-    pred_sql: &str,
-) -> (ItemScore, Option<(Query, crate::digest::QueryObs)>) {
-    let Ok(pred) = parse_query(pred_sql) else {
-        return (ItemScore::default(), None);
-    };
-    let em = exact_set_match(&item.gold, &pred);
-    let analyzed =
-        storage::execute_query_analyzed(db, &pred, storage::ExecOptions::default(), None);
-    let Ok(an) = analyzed else {
-        let score = ItemScore {
-            valid: false,
-            ex: false,
-            em: false,
-        };
-        return (score, Some((pred, crate::digest::QueryObs::default())));
-    };
-    let obs = crate::digest::QueryObs {
-        exec_ns: an.plan.total_self_ns(),
-        rows_scanned: an.plan.rows_scanned(),
-    };
-    let gold_rs = execute_query(db, &item.gold).expect("gold queries always execute");
-    let ordered = has_top_level_order(&item.gold);
-    let ex = results_match(&gold_rs, &an.result, ordered);
-    let score = ItemScore {
-        valid: true,
-        ex,
-        em,
-    };
-    (score, Some((pred, obs)))
-}
-
 fn has_top_level_order(q: &Query) -> bool {
     match q {
         Query::Select(s) => !s.order_by.is_empty(),

@@ -1,6 +1,5 @@
 //! In-memory database: schema plus table contents.
 
-use crate::column::ColumnarTable;
 use crate::schema::{DbSchema, TableSchema};
 use crate::value::{Row, Value};
 use crate::ExecError;
@@ -12,19 +11,16 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 pub struct TableData {
     /// Rows in insertion order.
     pub rows: Vec<Row>,
-    /// Lazily built columnar view; invalidated on insert. The row store
-    /// above stays the source of truth — the columnar form only selects
-    /// rowids, never materializes output cells.
-    columnar: OnceLock<ColumnarTable>,
 }
 
 /// An in-memory database instance.
 ///
-/// Besides its contents it carries caches derived from them, each built on
-/// first use and dropped on [`Database::insert`]: the columnar view of each
-/// table, exact statistics ([`Database::cached_stats`]), and the EX-verdict
-/// memo ([`Database::memo_verdict`]). A clone starts with an empty verdict
-/// memo, so work measured on a clone runs cold.
+/// Tables are row stores; the executor scans them in place. Besides its
+/// contents a database carries two caches derived from them, each built on
+/// first use and dropped on [`Database::insert`]: exact statistics
+/// ([`Database::cached_stats`]) and the EX-verdict memo
+/// ([`Database::memo_verdict`]). A clone starts with an empty verdict memo,
+/// so work measured on a clone runs cold.
 #[derive(Debug, Clone)]
 pub struct Database {
     /// The schema.
@@ -86,7 +82,6 @@ impl Database {
         }
         let td = self.tables.get_mut(&key).expect("table map mirrors schema");
         td.rows.push(row);
-        td.columnar = OnceLock::new();
         self.stats = OnceLock::new();
         self.verdicts = VerdictMemo::default();
         Ok(())
@@ -107,21 +102,9 @@ impl Database {
             .map(|t| t.rows.as_slice())
     }
 
-    /// The columnar view of a table, built on first use and cached until the
-    /// next insert. `None` for unknown tables.
-    pub(crate) fn columnar(&self, table: &str) -> Option<&ColumnarTable> {
-        let td = self.tables.get(&table.to_lowercase())?;
-        let n_cols = self.schema.table(table)?.columns.len();
-        Some(
-            td.columnar
-                .get_or_init(|| ColumnarTable::build(&td.rows, n_cols)),
-        )
-    }
-
     /// Exact statistics for this database, collected on first use and cached
-    /// until the next insert. The columnar planner and `EXPLAIN` both resolve
-    /// their stats through here when the caller does not supply any, so plan
-    /// decisions are identical across entry points.
+    /// until the next insert. An analyzed run resolves its plan estimates
+    /// through here when the caller supplies no statistics.
     pub fn cached_stats(&self) -> &crate::stats::DbStats {
         self.stats.get_or_init(|| crate::stats::collect(self))
     }

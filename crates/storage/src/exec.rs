@@ -2,14 +2,17 @@
 //!
 //! The executor materializes intermediate relations (the Spider databases are
 //! small) and supports correlated subqueries via a stack of outer row scopes.
-//! Join strategy is configurable (nested-loop vs hash) so the `ablate_join`
-//! bench can compare them; results are identical by construction.
+//! A named-table scan borrows the row store in place, so a base row is cloned
+//! only when it survives WHERE or enters a join result, and WHERE predicates
+//! compare borrowed cells. Join strategy is configurable (nested-loop vs
+//! hash) so the `ablate_join` bench can compare them.
 
 use crate::db::Database;
 use crate::error::{ExecError, ExecResult};
 use crate::explain::{Plan, Probe, SelectIds};
 use crate::value::{Row, Value};
 use sqlkit::ast::*;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -32,41 +35,11 @@ pub enum JoinStrategy {
     NestedLoop,
 }
 
-/// Execution engine choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Vectorized columnar front-end with cost-based planning (default).
-    /// Falls back per-select to the reference interpreter whenever the
-    /// planner does not recognize the FROM/WHERE shape as statically safe.
-    Columnar,
-    /// The row-at-a-time reference interpreter, unconditionally. This is
-    /// the differential-testing oracle and the `DAIL_EXEC=oracle` escape
-    /// hatch; results are `value_eq`-identical to [`Engine::Columnar`] by
-    /// construction.
-    Oracle,
-}
-
-static DEFAULT_ENGINE: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-
-impl Default for Engine {
-    /// `DAIL_EXEC=oracle` selects the reference interpreter process-wide;
-    /// anything else (including unset) selects the columnar engine. The
-    /// variable is read once and cached.
-    fn default() -> Engine {
-        *DEFAULT_ENGINE.get_or_init(|| match std::env::var("DAIL_EXEC").as_deref() {
-            Ok("oracle") => Engine::Oracle,
-            _ => Engine::Columnar,
-        })
-    }
-}
-
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
     /// Join strategy.
     pub join: JoinStrategy,
-    /// Execution engine.
-    pub engine: Engine,
 }
 
 /// Execute a query against a database with default options.
@@ -79,7 +52,6 @@ pub fn execute_query_with(db: &Database, q: &Query, opts: ExecOptions) -> ExecRe
     let ex = Executor {
         db,
         opts,
-        stats: None,
         rows_scanned: std::cell::Cell::new(0),
         probe: None,
     };
@@ -118,8 +90,6 @@ pub fn execute_query_analyzed(
     opts: ExecOptions,
     stats: Option<&crate::stats::DbStats>,
 ) -> ExecResult<Analyzed> {
-    // Resolve statistics once and hand the same reference to both the plan
-    // builder and the executor, so the plan shown is the plan run.
     let stats = stats.unwrap_or_else(|| db.cached_stats());
     let (mut nodes, root, map) = crate::explain::build_plan(db, q, opts, Some(stats));
     let probe = Probe::new(map, nodes.len());
@@ -127,7 +97,6 @@ pub fn execute_query_analyzed(
         let ex = Executor {
             db,
             opts,
-            stats: Some(stats),
             rows_scanned: std::cell::Cell::new(0),
             probe: Some(&probe),
         };
@@ -158,12 +127,14 @@ pub fn execute_query_analyzed(
     Ok(Analyzed { result: out?, plan })
 }
 
-/// An intermediate relation: labelled columns plus rows.
+/// An intermediate relation: labelled columns plus rows. A named-table
+/// scan borrows its rows from the row store; every other operator owns the
+/// rows it produces.
 #[derive(Debug, Clone)]
-struct Relation {
+struct Relation<'a> {
     /// (binding, column) labels, both lowercase.
     cols: Vec<(String, String)>,
-    rows: Vec<Row>,
+    rows: Cow<'a, [Row]>,
 }
 
 /// One outer scope for correlated subqueries.
@@ -205,11 +176,7 @@ impl<'a> Ctx<'a> {
 struct Executor<'a> {
     db: &'a Database,
     opts: ExecOptions,
-    /// Pre-resolved statistics for analyzed runs (must match what the plan
-    /// builder saw); the columnar front-end falls back to
-    /// [`Database::cached_stats`] when absent.
-    stats: Option<&'a crate::stats::DbStats>,
-    /// Base-table rows materialized by scans (telemetry only).
+    /// Base-table rows read by scans (telemetry only).
     rows_scanned: std::cell::Cell<u64>,
     /// Per-operator probe for analyzed runs; `None` on the normal path, in
     /// which case every probe hook is a single branch.
@@ -298,53 +265,40 @@ impl<'a> Executor<'a> {
     fn exec_select(&self, s: &Select, outers: &[OuterScope<'_>]) -> ExecResult<ResultSet> {
         let pids = self.sel_ids(s);
 
-        // 1. + 2. FROM and WHERE. The columnar front-end handles both at
-        // once when the cost-based planner recognizes the shape as
-        // statically safe; otherwise the reference scan → join → filter
-        // path runs. Both produce identical rows in identical order.
-        let front = match (&s.from, self.opts.engine) {
-            (Some(_), Engine::Columnar) => {
-                let stats = self.stats.unwrap_or_else(|| self.db.cached_stats());
-                crate::planner::plan_front(self.db, s, self.opts, stats)
-            }
-            _ => None,
+        // 1. FROM. Named tables are borrowed from the row store.
+        let rel = match &s.from {
+            Some(from) => self.exec_from(from, outers)?,
+            None => Relation {
+                cols: Vec::new(),
+                rows: Cow::Owned(vec![Vec::new()]),
+            },
         };
+
+        // 2. WHERE: only surviving rows are cloned.
         let Relation {
             cols: rel_cols,
             rows: filtered,
-        } = match front {
-            Some(fp) => self.exec_front_columnar(fp, outers, &pids)?,
-            None => {
-                let rel = match &s.from {
-                    Some(from) => self.exec_from(from, outers)?,
-                    None => Relation {
-                        cols: Vec::new(),
-                        rows: vec![Vec::new()],
-                    },
-                };
-                let mut filtered: Vec<Row> = Vec::with_capacity(rel.rows.len());
-                match &s.where_cond {
-                    Some(cond) => {
-                        let g = self.pg(pids.filter);
-                        for row in &rel.rows {
-                            let ctx = Ctx::Row {
-                                cols: &rel.cols,
-                                row,
-                            };
-                            if self.eval_cond(cond, &ctx, outers)? == Some(true) {
-                                filtered.push(row.clone());
-                            }
-                        }
-                        drop(g);
-                        self.prows(pids.filter, rel.rows.len(), filtered.len());
+        } = match &s.where_cond {
+            Some(cond) => {
+                let g = self.pg(pids.filter);
+                let mut kept: Vec<Row> = Vec::new();
+                for row in rel.rows.iter() {
+                    let ctx = Ctx::Row {
+                        cols: &rel.cols,
+                        row,
+                    };
+                    if self.eval_cond(cond, &ctx, outers)? == Some(true) {
+                        kept.push(row.clone());
                     }
-                    None => filtered = rel.rows,
                 }
+                drop(g);
+                self.prows(pids.filter, rel.rows.len(), kept.len());
                 Relation {
                     cols: rel.cols,
-                    rows: filtered,
+                    rows: Cow::Owned(kept),
                 }
             }
+            None => rel,
         };
 
         let is_aggregate = !s.group_by.is_empty()
@@ -409,7 +363,7 @@ impl<'a> Executor<'a> {
                 }
             }
         } else {
-            for row in &filtered {
+            for row in filtered.iter() {
                 let ctx = Ctx::Row {
                     cols: &rel_cols,
                     row,
@@ -490,7 +444,7 @@ impl<'a> Executor<'a> {
 
     // ---- FROM / joins ----
 
-    fn exec_from(&self, from: &FromClause, outers: &[OuterScope<'_>]) -> ExecResult<Relation> {
+    fn exec_from(&self, from: &FromClause, outers: &[OuterScope<'_>]) -> ExecResult<Relation<'a>> {
         let mut rel = self.scan(&from.base, outers)?;
         for join in &from.joins {
             let right = self.scan(&join.table, outers)?;
@@ -505,237 +459,7 @@ impl<'a> Executor<'a> {
         Ok(rel)
     }
 
-    /// Columnar FROM + WHERE: per-table rowid selections via the planned
-    /// access path (index range or full scan) refined by pushed kernels,
-    /// flat rowid-tuple joins in planner order, restoration of reference row
-    /// order, then the residual WHERE over late-materialized rows. Output
-    /// rows are cloned from the row store, so they are bit-identical to the
-    /// reference `exec_from` + WHERE loop.
-    fn exec_front_columnar(
-        &self,
-        fp: crate::planner::FrontPlan<'_>,
-        outers: &[OuterScope<'_>],
-        pids: &SelectIds,
-    ) -> ExecResult<Relation> {
-        use crate::planner::{AccessPath, WhereMode};
-        let n_pos = fp.tables.len();
-
-        // Combined output labels, in FROM order (as the reference builds).
-        let mut cols: Vec<(String, String)> = Vec::new();
-        for t in &fp.tables {
-            let schema = self.db.table_schema(&t.name).expect("planned table");
-            cols.extend(
-                schema
-                    .columns
-                    .iter()
-                    .map(|c| (t.binding.clone(), c.name.to_lowercase())),
-            );
-        }
-
-        // Per-table selections (ascending rowids).
-        let mut cts: Vec<&crate::column::ColumnarTable> = Vec::with_capacity(n_pos);
-        let mut sels: Vec<Vec<u32>> = Vec::with_capacity(n_pos);
-        for t in &fp.tables {
-            let ct = self.db.columnar(&t.name).expect("planned table");
-            let pid = self.scan_pid(t.tref);
-            let g = self.pg(pid);
-            let mut sel: Vec<u32> = match &t.access {
-                AccessPath::Scan => (0..ct.n_rows as u32).collect(),
-                AccessPath::IndexRange { col, lo, hi, .. } => {
-                    let c = &ct.columns[*col];
-                    let idx = c.sorted_index().expect("planner excludes NaN columns");
-                    idx.range(
-                        c,
-                        lo.as_ref().map(|(v, inc)| (v, *inc)),
-                        hi.as_ref().map(|(v, inc)| (v, *inc)),
-                    )
-                }
-            };
-            for kp in &t.pushed {
-                sel = crate::kernels::filter(kp, ct, sel);
-            }
-            // Telemetry counts the whole table per scan, as the reference
-            // materializing scan does. The probe reports the physical size
-            // as rows_in (scans have no row-input children, so the
-            // rows-flow invariant is unaffected) and the selected count as
-            // rows_out, giving EXPLAIN a real est-vs-act comparison.
-            self.rows_scanned
-                .set(self.rows_scanned.get() + ct.n_rows as u64);
-            drop(g);
-            self.prows(pid, ct.n_rows, sel.len());
-            cts.push(ct);
-            sels.push(sel);
-        }
-
-        // Join in planner order over flat rowid tuples (stride `n_pos`,
-        // slot = FROM position; unintroduced slots stay 0 and are ignored).
-        let start = fp.order[0];
-        let mut acc: Vec<u32> = Vec::with_capacity(sels[start].len() * n_pos);
-        for &r in &sels[start] {
-            let base = acc.len();
-            acc.resize(base + n_pos, 0);
-            acc[base + start] = r;
-        }
-        let mut n_acc = sels[start].len();
-        for step in &fp.steps {
-            let q = step.introduces;
-            let sel_q = &sels[q];
-            let pid = self.join_pid(step.ast_join);
-            let g = self.pg(pid);
-            let rows_in = n_acc + sel_q.len();
-            let mut next: Vec<u32> = Vec::new();
-            if step.keys.is_empty() {
-                // Cross join.
-                for tup in acc.chunks_exact(n_pos) {
-                    for &r in sel_q {
-                        let base = next.len();
-                        next.extend_from_slice(tup);
-                        next[base + q] = r;
-                    }
-                }
-            } else if step.use_loop {
-                // Pairwise fallback: a NaN sits in an exact key column, and
-                // NaN `sql_cmp`-equals every number, so it cannot be hashed.
-                for tup in acc.chunks_exact(n_pos) {
-                    for &r in sel_q {
-                        if front_keys_match(&cts, step, tup, r) {
-                            let base = next.len();
-                            next.extend_from_slice(tup);
-                            next[base + q] = r;
-                        }
-                    }
-                }
-            } else {
-                // Hash join: bucket the introduced side, probe the
-                // accumulator. Exact keys are a prefilter (f64-bit classes
-                // collide for distinct ints beyond 2^53), so candidates are
-                // re-verified pairwise; class keys are exact by themselves.
-                let mut buckets: HashMap<Vec<crate::column::ValueKey<'_>>, Vec<u32>> =
-                    HashMap::new();
-                'row: for &r in sel_q {
-                    let mut key = Vec::with_capacity(step.keys.len());
-                    for k in &step.keys {
-                        match cell_key(&cts[q].columns[k.right_col], r as usize, k.exact) {
-                            Some(v) => key.push(v),
-                            None => continue 'row, // NULL never joins
-                        }
-                    }
-                    buckets.entry(key).or_default().push(r);
-                }
-                let mut probe_key = Vec::with_capacity(step.keys.len());
-                'tup: for tup in acc.chunks_exact(n_pos) {
-                    probe_key.clear();
-                    for k in &step.keys {
-                        let i = tup[k.left_pos] as usize;
-                        match cell_key(&cts[k.left_pos].columns[k.left_col], i, k.exact) {
-                            Some(v) => probe_key.push(v),
-                            None => continue 'tup,
-                        }
-                    }
-                    let Some(cands) = buckets.get(&probe_key) else {
-                        continue;
-                    };
-                    for &r in cands {
-                        let verified = step.keys.iter().all(|k| {
-                            !k.exact
-                                || crate::column::cells_sql_eq(
-                                    &cts[k.left_pos].columns[k.left_col],
-                                    tup[k.left_pos] as usize,
-                                    &cts[q].columns[k.right_col],
-                                    r as usize,
-                                )
-                        });
-                        if verified {
-                            let base = next.len();
-                            next.extend_from_slice(tup);
-                            next[base + q] = r;
-                        }
-                    }
-                }
-            }
-            acc = next;
-            n_acc = acc.len() / n_pos;
-            drop(g);
-            self.prows(pid, rows_in, n_acc);
-        }
-
-        // Restore reference row order. The reference's join output is
-        // lexicographic in the FROM-position rowid tuple (left-to-right
-        // joins preserve build order, and bucket/scan order is ascending),
-        // and surviving tuples form a subset of distinct tuples — so a
-        // lexicographic sort reproduces the reference order exactly.
-        let mut tuples: Vec<&[u32]> = acc.chunks_exact(n_pos).collect();
-        tuples.sort_unstable();
-
-        // Late materialization: output cells are always cloned from the
-        // row store, never reconstructed from column vectors.
-        let base_rows: Vec<&[Row]> = fp
-            .tables
-            .iter()
-            .map(|t| self.db.rows(&t.name).expect("planned table"))
-            .collect();
-        let width = cols.len();
-        let materialize = |tup: &[u32]| -> Row {
-            let mut row: Row = Vec::with_capacity(width);
-            for (p, rows) in base_rows.iter().enumerate() {
-                row.extend(rows[tup[p] as usize].iter().cloned());
-            }
-            row
-        };
-
-        // Residual WHERE. `Residual` conjuncts are statically safe (they
-        // cannot error); `RowWise` replays the whole original WHERE in
-        // reference order, reproducing its lazy-error behavior exactly.
-        let rows: Vec<Row> = match &fp.where_mode {
-            WhereMode::None => tuples.iter().map(|t| materialize(t)).collect(),
-            WhereMode::Residual(conds) => {
-                let n_in = tuples.len();
-                let g = self.pg(pids.filter);
-                let mut out = Vec::new();
-                for tup in &tuples {
-                    let row = materialize(tup);
-                    let ctx = Ctx::Row {
-                        cols: &cols,
-                        row: &row,
-                    };
-                    let mut keep = true;
-                    for c in conds {
-                        if self.eval_cond(c, &ctx, outers)? != Some(true) {
-                            keep = false;
-                            break;
-                        }
-                    }
-                    if keep {
-                        out.push(row);
-                    }
-                }
-                drop(g);
-                self.prows(pids.filter, n_in, out.len());
-                out
-            }
-            WhereMode::RowWise(cond) => {
-                let n_in = tuples.len();
-                let g = self.pg(pids.filter);
-                let mut out = Vec::new();
-                for tup in &tuples {
-                    let row = materialize(tup);
-                    let ctx = Ctx::Row {
-                        cols: &cols,
-                        row: &row,
-                    };
-                    if self.eval_cond(cond, &ctx, outers)? == Some(true) {
-                        out.push(row);
-                    }
-                }
-                drop(g);
-                self.prows(pids.filter, n_in, out.len());
-                out
-            }
-        };
-        Ok(Relation { cols, rows })
-    }
-
-    fn scan(&self, t: &TableRef, outers: &[OuterScope<'_>]) -> ExecResult<Relation> {
+    fn scan(&self, t: &TableRef, outers: &[OuterScope<'_>]) -> ExecResult<Relation<'a>> {
         let pid = self.scan_pid(t);
         let _g = self.pg(pid);
         match t {
@@ -750,11 +474,14 @@ impl<'a> Executor<'a> {
                     .iter()
                     .map(|c| (binding.clone(), c.name.to_lowercase()))
                     .collect();
-                let rows = self.db.rows(name).unwrap_or(&[]).to_vec();
+                let rows = self.db.rows(name).unwrap_or(&[]);
                 self.rows_scanned
                     .set(self.rows_scanned.get() + rows.len() as u64);
                 self.prows(pid, 0, rows.len());
-                Ok(Relation { cols, rows })
+                Ok(Relation {
+                    cols,
+                    rows: Cow::Borrowed(rows),
+                })
             }
             TableRef::Derived { query, alias } => {
                 // The inner query's operators nest under this scan node on
@@ -772,7 +499,7 @@ impl<'a> Executor<'a> {
                     .collect();
                 Ok(Relation {
                     cols,
-                    rows: rs.rows,
+                    rows: Cow::Owned(rs.rows),
                 })
             }
         }
@@ -780,11 +507,11 @@ impl<'a> Executor<'a> {
 
     fn join(
         &self,
-        left: Relation,
-        right: Relation,
+        left: Relation<'a>,
+        right: Relation<'a>,
         on: Option<&Cond>,
         outers: &[OuterScope<'_>],
-    ) -> ExecResult<Relation> {
+    ) -> ExecResult<Relation<'a>> {
         let mut cols = left.cols.clone();
         cols.extend(right.cols.iter().cloned());
 
@@ -808,13 +535,13 @@ impl<'a> Executor<'a> {
                 };
                 if let Some((li, ri)) = pair {
                     let mut index: HashMap<String, Vec<&Row>> = HashMap::new();
-                    for rrow in &right.rows {
+                    for rrow in right.rows.iter() {
                         if !rrow[ri].is_null() {
                             index.entry(rrow[ri].group_key()).or_default().push(rrow);
                         }
                     }
                     let mut rows = Vec::new();
-                    for lrow in &left.rows {
+                    for lrow in left.rows.iter() {
                         if lrow[li].is_null() {
                             continue;
                         }
@@ -826,15 +553,18 @@ impl<'a> Executor<'a> {
                             }
                         }
                     }
-                    return Ok(Relation { cols, rows });
+                    return Ok(Relation {
+                        cols,
+                        rows: Cow::Owned(rows),
+                    });
                 }
             }
         }
 
         // General nested loop.
         let mut rows = Vec::new();
-        for lrow in &left.rows {
-            for rrow in &right.rows {
+        for lrow in left.rows.iter() {
+            for rrow in right.rows.iter() {
                 let mut combined = lrow.clone();
                 combined.extend(rrow.iter().cloned());
                 match on {
@@ -851,29 +581,32 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        Ok(Relation { cols, rows })
+        Ok(Relation {
+            cols,
+            rows: Cow::Owned(rows),
+        })
     }
 
     // ---- grouping ----
 
-    fn build_groups(
+    fn build_groups<'r>(
         &self,
         s: &Select,
         cols: &[(String, String)],
-        rows: Vec<Row>,
+        rows: Cow<'r, [Row]>,
         outers: &[OuterScope<'_>],
-    ) -> ExecResult<Vec<Vec<Row>>> {
+    ) -> ExecResult<Vec<Cow<'r, [Row]>>> {
         if s.group_by.is_empty() {
             // Global aggregate: a single group, possibly empty.
             return Ok(vec![rows]);
         }
         let mut order: Vec<String> = Vec::new();
         let mut groups: HashMap<String, Vec<Row>> = HashMap::new();
-        for row in rows {
+        for row in rows.into_owned() {
             let ctx = Ctx::Row { cols, row: &row };
             let mut key = String::new();
             for g in &s.group_by {
-                let v = self.eval_expr(&Expr::Col(g.clone()), &ctx, outers)?;
+                let v = self.eval_col(g, &ctx, outers)?;
                 key.push_str(&v.group_key());
                 key.push('\u{1}');
             }
@@ -884,7 +617,7 @@ impl<'a> Executor<'a> {
         }
         Ok(order
             .into_iter()
-            .map(|k| groups.remove(&k).expect("key present"))
+            .map(|k| Cow::Owned(groups.remove(&k).expect("key present")))
             .collect())
     }
 
@@ -976,7 +709,7 @@ impl<'a> Executor<'a> {
     fn eval_expr(&self, e: &Expr, ctx: &Ctx<'_>, outers: &[OuterScope<'_>]) -> ExecResult<Value> {
         match e {
             Expr::Lit(l) => Ok(Value::from_literal(l)),
-            Expr::Col(c) => self.eval_col(c, ctx, outers),
+            Expr::Col(c) => self.eval_col(c, ctx, outers).map(Cow::into_owned),
             Expr::Star => Err(ExecError::InvalidStar),
             Expr::Agg {
                 func,
@@ -1004,27 +737,43 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn eval_col(
+    /// The cell a column reference names, borrowed from the current row or
+    /// an outer scope's row (NULL for an empty group).
+    fn eval_col<'c>(
         &self,
         c: &ColumnRef,
-        ctx: &Ctx<'_>,
-        outers: &[OuterScope<'_>],
-    ) -> ExecResult<Value> {
+        ctx: &Ctx<'c>,
+        outers: &[OuterScope<'c>],
+    ) -> ExecResult<Cow<'c, Value>> {
         match resolve(ctx.cols(), c) {
-            Ok(idx) => Ok(ctx
-                .repr_row()
-                .map(|r| r[idx].clone())
-                .unwrap_or(Value::Null)),
+            Ok(idx) => Ok(match ctx.repr_row() {
+                Some(r) => Cow::Borrowed(&r[idx]),
+                None => Cow::Owned(Value::Null),
+            }),
             Err(e @ ExecError::AmbiguousColumn(_)) => Err(e),
             Err(_) => {
                 // Correlated reference: walk outer scopes, innermost first.
                 for scope in outers.iter().rev() {
                     if let Ok(idx) = resolve(scope.cols, c) {
-                        return Ok(scope.row[idx].clone());
+                        return Ok(Cow::Borrowed(&scope.row[idx]));
                     }
                 }
                 Err(unknown_column_error(c, ctx.cols(), outers))
             }
+        }
+    }
+
+    /// [`Executor::eval_expr`], borrowing the cell when `e` is a column
+    /// reference — what predicates use, since they only compare values.
+    fn eval_cell<'c>(
+        &self,
+        e: &Expr,
+        ctx: &Ctx<'c>,
+        outers: &[OuterScope<'c>],
+    ) -> ExecResult<Cow<'c, Value>> {
+        match e {
+            Expr::Col(c) => self.eval_col(c, ctx, outers),
+            e => self.eval_expr(e, ctx, outers).map(Cow::Owned),
         }
     }
 
@@ -1100,10 +849,10 @@ impl<'a> Executor<'a> {
     ) -> ExecResult<Option<bool>> {
         match c {
             Cond::Cmp { left, op, right } => {
-                let l = self.eval_expr(left, ctx, outers)?;
+                let l = self.eval_cell(left, ctx, outers)?;
                 let r = match right {
-                    Operand::Expr(e) => self.eval_expr(e, ctx, outers)?,
-                    Operand::Subquery(q) => self.scalar_subquery(q, ctx, outers)?,
+                    Operand::Expr(e) => self.eval_cell(e, ctx, outers)?,
+                    Operand::Subquery(q) => Cow::Owned(self.scalar_subquery(q, ctx, outers)?),
                 };
                 Ok(l.sql_cmp(&r).map(|ord| match op {
                     CmpOp::Eq => ord == Ordering::Equal,
@@ -1120,9 +869,9 @@ impl<'a> Executor<'a> {
                 low,
                 high,
             } => {
-                let v = self.eval_expr(expr, ctx, outers)?;
-                let lo = self.eval_expr(low, ctx, outers)?;
-                let hi = self.eval_expr(high, ctx, outers)?;
+                let v = self.eval_cell(expr, ctx, outers)?;
+                let lo = self.eval_cell(low, ctx, outers)?;
+                let hi = self.eval_cell(high, ctx, outers)?;
                 let res = match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                     (Some(a), Some(b)) => Some(a != Ordering::Less && b != Ordering::Greater),
                     _ => None,
@@ -1134,7 +883,7 @@ impl<'a> Executor<'a> {
                 negated,
                 source,
             } => {
-                let v = self.eval_expr(expr, ctx, outers)?;
+                let v = self.eval_cell(expr, ctx, outers)?;
                 if v.is_null() {
                     return Ok(None);
                 }
@@ -1174,16 +923,16 @@ impl<'a> Executor<'a> {
                 negated,
                 pattern,
             } => {
-                let v = self.eval_expr(expr, ctx, outers)?;
-                let res = match v {
+                let v = self.eval_cell(expr, ctx, outers)?;
+                let res = match v.as_ref() {
                     Value::Null => None,
-                    Value::Str(s) => Some(like_match(pattern, &s)),
+                    Value::Str(s) => Some(like_match(pattern, s)),
                     other => Some(like_match(pattern, &other.to_string())),
                 };
                 Ok(negate_if(res, *negated))
             }
             Cond::IsNull { expr, negated } => {
-                let v = self.eval_expr(expr, ctx, outers)?;
+                let v = self.eval_cell(expr, ctx, outers)?;
                 Ok(Some(v.is_null() != *negated))
             }
             Cond::Exists { negated, query } => {
@@ -1300,54 +1049,20 @@ fn unknown_column_error(
 }
 
 /// Resolve a column reference against relation labels.
-/// The hash-join key of one cell under the edge's equality semantics
-/// (`None` = NULL, never joinable).
-fn cell_key(
-    col: &crate::column::Column,
-    i: usize,
-    exact: bool,
-) -> Option<crate::column::ValueKey<'_>> {
-    if exact {
-        col.cell_exact_key(i)
-    } else {
-        col.cell_class_key(i)
-    }
-}
-
-/// Pairwise key check for the loop-join fallback (NaN-safe: exact keys use
-/// `sql_cmp` equality directly, class keys compare canonicalized classes).
-fn front_keys_match(
-    cts: &[&crate::column::ColumnarTable],
-    step: &crate::planner::JoinStep<'_>,
-    tup: &[u32],
-    r: u32,
-) -> bool {
-    step.keys.iter().all(|k| {
-        let lc = &cts[k.left_pos].columns[k.left_col];
-        let rc = &cts[step.introduces].columns[k.right_col];
-        let (i, j) = (tup[k.left_pos] as usize, r as usize);
-        if !lc.is_valid(i) || !rc.is_valid(j) {
-            return false;
-        }
-        if k.exact {
-            crate::column::cells_sql_eq(lc, i, rc, j)
-        } else {
-            lc.cell_class_key(i) == rc.cell_class_key(j)
-        }
-    })
-}
-
 fn resolve(cols: &[(String, String)], c: &ColumnRef) -> ExecResult<usize> {
-    let name = c.column.to_lowercase();
+    let name = &c.column;
     match &c.table {
-        Some(t) => {
-            let t = t.to_lowercase();
-            cols.iter()
-                .position(|(b, n)| *b == t && *n == name)
-                .ok_or_else(|| ExecError::UnknownColumn(format!("{t}.{name}")))
-        }
+        Some(t) => cols
+            .iter()
+            .position(|(b, n)| label_eq(b, t) && label_eq(n, name))
+            .ok_or_else(|| {
+                ExecError::UnknownColumn(format!("{}.{}", t.to_lowercase(), name.to_lowercase()))
+            }),
         None => {
-            let mut it = cols.iter().enumerate().filter(|(_, (_, n))| *n == name);
+            let mut it = cols
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, n))| label_eq(n, name));
             match (it.next(), it.next()) {
                 (Some((i, _)), None) => Ok(i),
                 (Some((i, (b1, _))), Some((_, (b2, _)))) => {
@@ -1362,9 +1077,20 @@ fn resolve(cols: &[(String, String)], c: &ColumnRef) -> ExecResult<usize> {
                         Ok(i)
                     }
                 }
-                _ => Err(ExecError::UnknownColumn(name)),
+                _ => Err(ExecError::UnknownColumn(name.to_lowercase())),
             }
         }
+    }
+}
+
+/// `label == name.to_lowercase()` for a label that is already lowercase,
+/// without allocating when `name` is ASCII (every label is lowercase, so an
+/// ASCII case-insensitive match is then exactly that equality).
+fn label_eq(label: &str, name: &str) -> bool {
+    if name.is_ascii() {
+        label.eq_ignore_ascii_case(name)
+    } else {
+        *label == name.to_lowercase()
     }
 }
 
@@ -1513,6 +1239,7 @@ pub(crate) fn row_key<R: AsRef<[Value]>>(row: R) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::OpKind;
     use crate::schema::{ColType, ColumnDef, DbSchema, ForeignKey, TableSchema};
     use sqlkit::parse_query;
 
@@ -1741,7 +1468,6 @@ mod tests {
             &q,
             ExecOptions {
                 join: JoinStrategy::Hash,
-                ..ExecOptions::default()
             },
         )
         .unwrap();
@@ -1750,7 +1476,6 @@ mod tests {
             &q,
             ExecOptions {
                 join: JoinStrategy::NestedLoop,
-                ..ExecOptions::default()
             },
         )
         .unwrap();
@@ -2098,56 +1823,42 @@ mod tests {
 
     #[test]
     fn analyze_counts_filter_rows() {
-        // Columnar engine: the predicate is pushed into the scan, which
-        // reports the physical table size as rows_in and the post-pushdown
-        // selection as rows_out; no filter node remains.
+        // The scan emits every row of the table; the filter node above it
+        // receives them all and keeps the matches.
         let an = analyze("SELECT name FROM singer WHERE age > 40");
-        assert!(
-            !an.plan
+        let node = |kind| {
+            an.plan
                 .nodes
                 .iter()
-                .any(|n| n.kind == crate::explain::OpKind::Filter),
-            "pushed predicate must not leave a filter node"
+                .find(|n| n.kind == kind)
+                .unwrap_or_else(|| panic!("{kind:?} node"))
+        };
+        let (scan, filter) = (node(OpKind::Scan), node(OpKind::Filter));
+        assert_eq!(scan.stats.rows_out, 5);
+        assert_eq!(filter.stats.rows_in, 5);
+        assert_eq!(filter.stats.rows_out, 2);
+        assert_eq!(an.plan.rows_scanned(), 5);
+
+        // Over a join, the filter's rows_in is the joined row count.
+        let an = analyze(
+            "SELECT T1.name FROM singer AS T1 JOIN song AS T2 ON T1.singer_id = T2.singer_id WHERE T2.sales > 100000",
         );
-        let scan = an
+        let join = an
             .plan
             .nodes
             .iter()
-            .find(|n| n.kind == crate::explain::OpKind::Scan)
-            .expect("scan node");
-        assert!(scan.label.contains("[age > 40]"), "{}", scan.label);
-        assert_eq!(scan.stats.rows_in, 5);
-        assert_eq!(scan.stats.rows_out, 2);
-        assert_eq!(an.plan.rows_scanned(), 5);
-
-        // Oracle engine: the reference accounting is unchanged.
-        let q = parse_query("SELECT name FROM singer WHERE age > 40").unwrap();
-        let an = execute_query_analyzed(
-            &db(),
-            &q,
-            ExecOptions {
-                engine: Engine::Oracle,
-                ..ExecOptions::default()
-            },
-            None,
-        )
-        .unwrap();
+            .find(|n| n.kind == OpKind::Join)
+            .unwrap();
         let filter = an
             .plan
             .nodes
             .iter()
-            .find(|n| n.kind == crate::explain::OpKind::Filter)
-            .expect("filter node");
+            .find(|n| n.kind == OpKind::Filter)
+            .unwrap();
+        assert_eq!(join.stats.rows_out, 5);
         assert_eq!(filter.stats.rows_in, 5);
-        assert_eq!(filter.stats.rows_out, 2);
-        let scan = an
-            .plan
-            .nodes
-            .iter()
-            .find(|n| n.kind == crate::explain::OpKind::Scan)
-            .expect("scan node");
-        assert_eq!(scan.stats.rows_out, 5);
-        assert_eq!(an.plan.rows_scanned(), 5);
+        assert_eq!(filter.stats.rows_out, 3);
+        assert_eq!(an.plan.rows_scanned(), 10);
     }
 
     #[test]

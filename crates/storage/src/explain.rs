@@ -13,11 +13,10 @@
 //!
 //! Cardinality estimates are deliberately crude (textbook selectivity
 //! constants, exact NDV from [`crate::stats`] when supplied): they exist so
-//! `EXPLAIN` output shows estimated vs. actual rows, which is the oracle the
-//! ROADMAP's cost-based planner will be tuned against.
+//! `EXPLAIN` output shows estimated vs. actual rows.
 
 use crate::db::Database;
-use crate::exec::{Engine, ExecOptions, JoinStrategy};
+use crate::exec::{ExecOptions, JoinStrategy};
 use crate::stats::DbStats;
 use sqlkit::ast::*;
 use std::cell::RefCell;
@@ -122,16 +121,14 @@ impl Plan {
         self.nodes.iter().map(|n| n.stats.self_ns).sum()
     }
 
-    /// Base-table rows scanned (derived-table scans pass rows through and
-    /// are excluded — their inner scans are already counted). Reference
-    /// scans report the table size as `rows_out`; columnar scans report it
-    /// as `rows_in` (with `rows_out` the post-pushdown selection), so the
-    /// maximum of the two is the physical count under either engine.
+    /// Base-table rows scanned: the `rows_out` of every base scan.
+    /// Derived-table scans pass rows through and are excluded — their inner
+    /// scans are already counted.
     pub fn rows_scanned(&self) -> u64 {
         self.nodes
             .iter()
             .filter(|n| n.kind == OpKind::Scan && n.children.is_empty())
-            .map(|n| n.stats.rows_in.max(n.stats.rows_out))
+            .map(|n| n.stats.rows_out)
             .sum()
     }
 
@@ -186,8 +183,7 @@ impl Plan {
 
     /// Accumulate execution-time observations into `rec`: per-operator-kind
     /// row/invocation counters and self-time histograms, plus observed
-    /// selectivities (percent) for filters and joins — the empirical inputs
-    /// the future cost-based planner will calibrate against.
+    /// selectivities (percent) for filters and joins.
     pub fn record_observations(&self, rec: &obskit::Recorder) {
         for n in &self.nodes {
             let k = n.kind.as_str();
@@ -414,79 +410,60 @@ impl<'a> Planner<'a> {
     fn plan_select(&mut self, s: &Select) -> usize {
         let mut ids = SelectIds::default();
 
-        // FROM + WHERE. When the columnar engine will run this select, ask
-        // the cost-based planner — the same `plan_front` call the executor
-        // makes with the same inputs — and mirror its decisions (access
-        // paths, pushdown, join order) in the tree. Otherwise plan the
-        // reference left-to-right chain.
+        // FROM: a left-to-right join chain over the scans.
         let mut scope: Scope = Some(Vec::new());
         let mut cur: Option<usize> = None;
-        let mut in_est = 1u64;
-        let mut front_done = false;
-        if s.from.is_some() && self.opts.engine == Engine::Columnar {
-            let db = self.db;
-            let stats = self.stats.unwrap_or_else(|| db.cached_stats());
-            if let Some(fp) = crate::planner::plan_front(db, s, self.opts, stats) {
-                let (id, sc, est) = self.plan_columnar_front(fp, &mut ids);
+        if let Some(from) = &s.from {
+            let (base_id, base_cols) = self.plan_scan(&from.base);
+            cur = Some(base_id);
+            scope = base_cols;
+            for join in &from.joins {
+                let (right_id, right_cols) = self.plan_scan(&join.table);
+                let left_id = cur.expect("join follows a base scan");
+                let (le, re) = (self.est(left_id), self.est(right_id));
+                let (label, est) = self.join_label_and_est(
+                    join.on.as_ref(),
+                    scope.as_deref(),
+                    right_cols.as_deref(),
+                    le,
+                    re,
+                );
+                scope = match (scope, right_cols) {
+                    (Some(mut l), Some(r)) => {
+                        l.extend(r);
+                        Some(l)
+                    }
+                    _ => None,
+                };
+                let mut children = vec![left_id, right_id];
+                if let Some(on) = &join.on {
+                    children.extend(self.plan_cond_subqueries(on));
+                }
+                let id = self.node(OpKind::Join, label, est, children, 2);
+                self.map.join.insert(addr(join), id);
                 cur = Some(id);
-                scope = sc;
-                in_est = est;
-                front_done = true;
             }
         }
-        if !front_done {
-            if let Some(from) = &s.from {
-                let (base_id, base_cols) = self.plan_scan(&from.base);
-                cur = Some(base_id);
-                scope = base_cols;
-                for join in &from.joins {
-                    let (right_id, right_cols) = self.plan_scan(&join.table);
-                    let left_id = cur.expect("join follows a base scan");
-                    let (le, re) = (self.est(left_id), self.est(right_id));
-                    let (label, est) = self.join_label_and_est(
-                        join.on.as_ref(),
-                        scope.as_deref(),
-                        right_cols.as_deref(),
-                        le,
-                        re,
-                    );
-                    scope = match (scope, right_cols) {
-                        (Some(mut l), Some(r)) => {
-                            l.extend(r);
-                            Some(l)
-                        }
-                        _ => None,
-                    };
-                    let mut children = vec![left_id, right_id];
-                    if let Some(on) = &join.on {
-                        children.extend(self.plan_cond_subqueries(on));
-                    }
-                    let id = self.node(OpKind::Join, label, est, children, 2);
-                    self.map.join.insert(addr(join), id);
-                    cur = Some(id);
-                }
-            }
-            // No FROM: the executor synthesizes one empty row.
-            in_est = cur.map(|id| self.est(id)).unwrap_or(1);
+        // No FROM: the executor synthesizes one empty row.
+        let mut in_est = cur.map(|id| self.est(id)).unwrap_or(1);
 
-            // WHERE.
-            if let Some(cond) = &s.where_cond {
-                let sel = self.selectivity(cond, scope.as_deref());
-                let est = est_mul(in_est, sel);
-                let mut children: Vec<usize> = cur.into_iter().collect();
-                let inputs = children.len();
-                children.extend(self.plan_cond_subqueries(cond));
-                let id = self.node(
-                    OpKind::Filter,
-                    format!("filter {cond}"),
-                    est,
-                    children,
-                    inputs,
-                );
-                ids.filter = Some(id);
-                cur = Some(id);
-                in_est = est;
-            }
+        // WHERE.
+        if let Some(cond) = &s.where_cond {
+            let sel = self.selectivity(cond, scope.as_deref());
+            let est = est_mul(in_est, sel);
+            let mut children: Vec<usize> = cur.into_iter().collect();
+            let inputs = children.len();
+            children.extend(self.plan_cond_subqueries(cond));
+            let id = self.node(
+                OpKind::Filter,
+                format!("filter {cond}"),
+                est,
+                children,
+                inputs,
+            );
+            ids.filter = Some(id);
+            cur = Some(id);
+            in_est = est;
         }
 
         // GROUP BY / aggregation (mirrors the executor's aggregate test).
@@ -598,107 +575,6 @@ impl<'a> Planner<'a> {
 
         self.map.select.insert(addr(s), ids);
         cur.expect("a select always has at least a project node")
-    }
-
-    /// Plan-tree construction for a columnar front-end: scan nodes carry
-    /// the chosen access path (`via index(col)`) and pushed predicates,
-    /// join nodes appear in *execution* order with the cost model's own
-    /// estimates, and only residual (or row-wise) WHERE work gets a filter
-    /// node. Node shapes mirror `exec_front_columnar` exactly, so the
-    /// est-vs-act lines compare the decision the planner made against what
-    /// that decision actually produced.
-    fn plan_columnar_front(
-        &mut self,
-        fp: crate::planner::FrontPlan<'_>,
-        ids: &mut SelectIds,
-    ) -> (usize, Scope, u64) {
-        use crate::planner::{AccessPath, WhereMode};
-
-        // Scope in FROM order (downstream GROUP BY estimates read it).
-        let mut sc: Vec<ScopeCol> = Vec::new();
-        for t in &fp.tables {
-            let schema = self.db.table_schema(&t.name).expect("planned table");
-            for c in &schema.columns {
-                sc.push(ScopeCol {
-                    binding: t.binding.clone(),
-                    name: c.name.to_lowercase(),
-                    src: Some((t.name.clone(), c.name.to_lowercase())),
-                });
-            }
-        }
-        let scope: Scope = Some(sc);
-
-        // One scan node per FROM table, labelled with its access path.
-        let mut scan_ids = Vec::with_capacity(fp.tables.len());
-        for t in &fp.tables {
-            let mut label = if t.binding == t.name {
-                format!("scan {}", t.name)
-            } else {
-                format!("scan {} as {}", t.name, t.binding)
-            };
-            if let AccessPath::IndexRange { col_name, .. } = &t.access {
-                let _ = write!(label, " via index({col_name})");
-            }
-            if !t.pushed_displays.is_empty() {
-                let _ = write!(label, " [{}]", t.pushed_displays.join(" AND "));
-            }
-            let id = self.node(OpKind::Scan, label, t.est_rows, Vec::new(), 0);
-            self.map.scan.insert(addr(t.tref), id);
-            scan_ids.push(id);
-        }
-
-        // Join chain in execution order.
-        let mut cur = scan_ids[fp.order[0]];
-        for step in &fp.steps {
-            let label = if step.keys.is_empty() {
-                "join (cross)".to_string()
-            } else {
-                let tag = if step.use_loop { " [loop]" } else { " [hash]" };
-                format!("join on {}{tag}", step.cond_displays.join(" AND "))
-            };
-            let id = self.node(
-                OpKind::Join,
-                label,
-                step.est_out,
-                vec![cur, scan_ids[step.introduces]],
-                2,
-            );
-            self.map.join.insert(addr(step.ast_join), id);
-            cur = id;
-        }
-        let mut in_est = self.est(cur);
-
-        // Residual WHERE work.
-        match &fp.where_mode {
-            WhereMode::None => {}
-            WhereMode::Residual(conds) => {
-                let sel: f64 = conds
-                    .iter()
-                    .map(|c| self.selectivity(c, scope.as_deref()))
-                    .product();
-                let est = est_mul(in_est, sel);
-                let label = conds
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" AND ");
-                let id = self.node(OpKind::Filter, format!("filter {label}"), est, vec![cur], 1);
-                ids.filter = Some(id);
-                cur = id;
-                in_est = est;
-            }
-            WhereMode::RowWise(cond) => {
-                let sel = self.selectivity(cond, scope.as_deref());
-                let est = est_mul(in_est, sel);
-                let mut children = vec![cur];
-                children.extend(self.plan_cond_subqueries(cond));
-                let id = self.node(OpKind::Filter, format!("filter {cond}"), est, children, 1);
-                ids.filter = Some(id);
-                cur = id;
-                in_est = est;
-            }
-        }
-        (cur, scope, in_est)
     }
 
     fn plan_scan(&mut self, t: &TableRef) -> (usize, Scope) {

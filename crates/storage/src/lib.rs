@@ -8,6 +8,9 @@
 //! LIKE / IN / BETWEEN / IS NULL, three-valued logic) covers every query the
 //! benchmark generator and the simulated models emit.
 //!
+//! There is one executor, the row-at-a-time interpreter in [`exec`]. Its
+//! scans borrow the row store in place; [`explain`] renders the plan it runs.
+//!
 //! EX comparison semantics (see [`compare`] for the full statement): column
 //! count and row count must agree; rows compare as an order-insensitive
 //! multiset unless the gold query has a top-level ORDER BY; numeric cells
@@ -37,17 +40,12 @@
 
 #![warn(missing_docs)]
 
-mod column;
 pub mod compare;
 pub mod db;
 pub mod error;
 pub mod exec;
 pub mod explain;
-mod index;
-mod kernels;
-pub mod oracle;
 pub mod pagestore;
-mod planner;
 pub mod schema;
 pub mod stats;
 pub mod value;
@@ -56,11 +54,10 @@ pub use compare::{results_match, value_eq};
 pub use db::Database;
 pub use error::{ExecError, ExecResult};
 pub use exec::{
-    execute_query, execute_query_analyzed, execute_query_with, like_match, Analyzed, Engine,
-    ExecOptions, JoinStrategy, ResultSet,
+    execute_query, execute_query_analyzed, execute_query_with, like_match, Analyzed, ExecOptions,
+    JoinStrategy, ResultSet,
 };
 pub use explain::{explain_query, OpKind, OpStats, Plan, PlanNode};
-pub use oracle::{execute_query_oracle, execute_query_oracle_with};
 pub use pagestore::{
     load_database, persist_database, recover_store, StoreError, StoreInfo, StoreResult,
 };

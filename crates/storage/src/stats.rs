@@ -1,4 +1,4 @@
-//! Table and column statistics for the (future) cost-based planner.
+//! Table and column statistics for `EXPLAIN` cardinality estimates.
 //!
 //! At current Spider-subset scale every database fits in memory, so the
 //! collector computes *exact* statistics in one pass: row counts, exact NDV,
@@ -7,7 +7,7 @@
 //! fleet's histogram bucketing). The `explain` module consumes these for
 //! cardinality estimates; execution-time observations (predicate
 //! selectivities, per-operator row counts) are accumulated separately into
-//! the global obskit recorder by [`crate::explain::Plan::record_observations`].
+//! the current obskit recorder by [`crate::explain::Plan::record_observations`].
 //!
 //! The JSONL serialization is the committed stats interchange format: one
 //! header line identifying the database, then one line per table. The format

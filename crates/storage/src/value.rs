@@ -114,15 +114,13 @@ impl fmt::Display for Value {
 }
 
 /// The one total order over `f64` used by every comparison path in the
-/// engine: `Value::total_cmp`, the vectorized kernels in [`crate::kernels`],
-/// and the sorted secondary indexes.
+/// engine (through [`Value::total_cmp`]: WHERE predicates, ORDER BY, MIN/MAX).
 ///
 /// Semantics are inherited from `partial_cmp` with a deliberate NaN rule:
 /// `-0.0 == 0.0` (IEEE equality) and any comparison involving NaN collapses
 /// to `Equal`. That NaN rule is historical (`total_cmp` has always used
-/// `partial_cmp(..).unwrap_or(Equal)`); keeping the scalar interpreter and
-/// the columnar kernels on this single function is what guarantees they
-/// cannot drift bit-for-bit on `-0.0`/NaN/near-epsilon floats.
+/// `partial_cmp(..).unwrap_or(Equal)`); the edge-case corpus under
+/// `tests/golden/exec_diff/` pins the results it produces.
 pub fn float_total_cmp(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or(Ordering::Equal)
 }

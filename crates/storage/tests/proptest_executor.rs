@@ -153,8 +153,8 @@ proptest! {
             "SELECT T1.name, count(*) FROM person AS T1 JOIN order_item AS T2 ON T1.id = T2.person_id \
              GROUP BY T1.id ORDER BY T1.name ASC, count(*) DESC"
         ).unwrap();
-        let h = execute_query_with(&db, &q, ExecOptions { join: JoinStrategy::Hash, ..ExecOptions::default() }).unwrap();
-        let n = execute_query_with(&db, &q, ExecOptions { join: JoinStrategy::NestedLoop, ..ExecOptions::default() }).unwrap();
+        let h = execute_query_with(&db, &q, ExecOptions { join: JoinStrategy::Hash }).unwrap();
+        let n = execute_query_with(&db, &q, ExecOptions { join: JoinStrategy::NestedLoop }).unwrap();
         prop_assert!(storage::results_match(&h, &n, true));
     }
 

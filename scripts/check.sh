@@ -300,10 +300,12 @@ fi
 echo "==> select-bench perf floor (fast path >= 3x naive reference at 10k rows)"
 # The retrievekit fast path (contiguous f32 matrix + bounded-heap top-k)
 # must stay at least 3x the committed naive reference (per-row f64 cosine
-# + full stable sort) on a 10k-example synthetic pool. Timing needs
-# optimized code, hence the release profile. The run also hard-checks
-# every selection against the full-sort oracle (exit 1 on mismatch) and
-# emits the pool-size/throughput trajectory as target/BENCH_select.json.
+# + full stable sort) on a 10k-example synthetic pool. The gated speedup
+# is the median per-round ratio over several alternating timing rounds.
+# Timing needs optimized code, hence the release profile. The run also
+# hard-checks every selection against the full-sort oracle (exit 1 on
+# mismatch) and emits the pool-size/throughput trajectory as
+# target/BENCH_select.json.
 CLI_REL="cargo run -q --offline --release -p bench --bin dail_sql_cli --"
 $CLI_REL select-bench --pool 10000 --queries 50 --seed 2023 \
     --json target/BENCH_select_naive.json > target/select-bench-report.md 2>/dev/null
@@ -364,36 +366,6 @@ fi
 echo "    1M-row recall@k: ivf ${recall_ivf}, ivf-int8 ${recall_int8}"
 echo "    1M-row speedup vs exact: ivf ${speedup_ivf}x, ivf-int8 ${speedup_int8}x"
 
-echo "==> columnar executor: differential oracle gate"
-# Every gold query must produce bit-identical results through the columnar
-# engine and the reference interpreter, under both join strategies
-# (exec-diff exits 1 on any divergence). DAIL_EXEC=oracle remains the
-# process-wide escape hatch to route all execution through the interpreter.
-$CLI exec-diff --train 60 --dev 24 >/dev/null
-
-echo "==> columnar executor: step-change perf gate"
-# Trace the same fixed workload through both engines and require the
-# INVERTED profile gate to flag the oracle run as a regression against the
-# columnar baseline: if `profile --fail-on-regress 25` passes here, the
-# rebuilt executor is no longer meaningfully faster than the interpreter
-# it replaced. Engines must also agree on every workload row count.
-$CLI_REL exec-bench --rows 50000 --trace target/exec-columnar.jsonl \
-    > target/exec-bench-columnar.txt 2>/dev/null
-DAIL_EXEC=oracle $CLI_REL exec-bench --rows 50000 --trace target/exec-oracle.jsonl \
-    > target/exec-bench-oracle.txt 2>/dev/null
-if ! cmp -s <(tail -n +2 target/exec-bench-columnar.txt) \
-    <(tail -n +2 target/exec-bench-oracle.txt); then
-    echo "exec-bench row counts differ between engines:" >&2
-    diff target/exec-bench-columnar.txt target/exec-bench-oracle.txt >&2 || true
-    exit 1
-fi
-if $CLI_REL profile target/exec-columnar.jsonl target/exec-oracle.jsonl \
-    --fail-on-regress 25 >/dev/null 2>&1; then
-    echo "columnar executor is not a step-change over the oracle interpreter" >&2
-    echo "(storage.exec self-time vs DAIL_EXEC=oracle is within 25%)" >&2
-    exit 1
-fi
-
 echo "==> kill-and-recover determinism gate (crash-injected persist)"
 # Persist the golden benchmark's databases to disk with a crash injected
 # mid-commit (the process must die, not error out cleanly), recover the
@@ -419,26 +391,17 @@ if ! cmp -s target/serve-bench-recovered.md tests/golden/serve_bench_report.md; 
     exit 1
 fi
 
-echo "==> recover/exec-diff exit-code contract (2 = usage/missing input)"
-# Missing or unreadable inputs are caller errors (exit 2), distinct from
+echo "==> recover exit-code contract (2 = usage/missing input)"
+# A missing or unreadable store is a caller error (exit 2), distinct from
 # corruption findings (exit 1).
 set +e
 $CLI_REL recover target/definitely-not-a-store >/dev/null 2>&1
 rc_recover=$?
-$CLI_REL exec-diff --corpus target/definitely-not-a-corpus.sql >/dev/null 2>&1
-rc_corpus=$?
 set -e
-if [ "$rc_recover" != "2" ] || [ "$rc_corpus" != "2" ]; then
-    echo "expected exit 2 for missing inputs, got recover=${rc_recover} exec-diff=${rc_corpus}" >&2
+if [ "$rc_recover" != "2" ]; then
+    echo "expected exit 2 for a missing store, got recover=${rc_recover}" >&2
     exit 1
 fi
-
-echo "==> exec-diff corpus replay (committed edge-case statements)"
-# Every committed regression statement must execute bit-identically through
-# the columnar engine and the oracle under both join strategies.
-for corpus in tests/golden/exec_diff/*.sql; do
-    $CLI exec-diff --corpus "$corpus" >/dev/null
-done
 
 echo "==> warm-start perf floor (snapshot load >= 10x cold pool build)"
 # Loading the example pool from a binary snapshot must be at least 10x
