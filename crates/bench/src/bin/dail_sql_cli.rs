@@ -146,9 +146,9 @@ fn usage() {
          \u{20}\u{20}                                         with --no-timing)\n\
          \u{20}\u{20}select-bench --pool-rows N[,N...] [--queries M] [--seed S] [--k K]\n\
          \u{20}\u{20}     [--json FILE] [--no-timing]         ANN sweep instead: per pool size,\n\
-         \u{20}\u{20}                                         exact scan vs ivf and ivf-int8\n\
-         \u{20}\u{20}                                         retrieval with recall@k, training\n\
-         \u{20}\u{20}                                         cost, and throughput per point\n\
+         \u{20}\u{20}                                         exact scan vs ivf retrieval with\n\
+         \u{20}\u{20}                                         recall@k, training cost, and\n\
+         \u{20}\u{20}                                         throughput per point\n\
          \u{20}\u{20}run-experiments --experiment e1..e10|a1..a6 [--dev-cap N] [--seed N]\n\
          \u{20}\u{20}     [--full-grid] [--trace FILE.jsonl]   run one paper experiment, print its tables\n\
          \u{20}\u{20}profile TRACE.jsonl                      render a recorded trace as a\n\
@@ -214,8 +214,8 @@ fn rate_flag(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
 ///
 /// A tracing recorder also owns an [`obskit::tsdb`] store (windowed
 /// labelled series; drained into the trace by [`finish_trace`]) unless
-/// `DAIL_TSDB=0`. `DAIL_TSDB_STEP_MS` and `DAIL_TSDB_MAX_SERIES`
-/// override the window step and the hard cardinality bound.
+/// `DAIL_TSDB=0`. `DAIL_TSDB_MAX_SERIES` overrides the hard cardinality
+/// bound.
 fn setup_trace(flags: &HashMap<String, String>) -> (obskit::Recorder, Option<PathBuf>) {
     let Some(path) = flags.get("trace") else {
         return (obskit::Recorder::disabled(), None);
@@ -223,16 +223,14 @@ fn setup_trace(flags: &HashMap<String, String>) -> (obskit::Recorder, Option<Pat
     if std::env::var("DAIL_TSDB").as_deref() == Ok("0") {
         return (obskit::Recorder::enabled(), Some(PathBuf::from(path)));
     }
-    let env_num = |key: &str, default: u64| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
     let defaults = obskit::tsdb::TsdbConfig::default();
+    let max_series = std::env::var("DAIL_TSDB_MAX_SERIES")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or(defaults.max_series)
+        .max(1);
     let tsdb = obskit::tsdb::Tsdb::new(obskit::tsdb::TsdbConfig {
-        step_ms: env_num("DAIL_TSDB_STEP_MS", defaults.step_ms).max(1),
-        max_series: env_num("DAIL_TSDB_MAX_SERIES", defaults.max_series as u64).max(1) as usize,
+        max_series,
         ..defaults
     });
     (obskit::Recorder::with_tsdb(tsdb), Some(PathBuf::from(path)))
@@ -289,15 +287,6 @@ fn digests_top_n(flags: &HashMap<String, String>) -> Option<usize> {
             }
         },
     }
-}
-
-/// `DAIL_ANALYZE` env toggle: also run each serve-bench prediction through
-/// the analyzed executor (per-operator accounting on) without changing any
-/// printed number — the overhead-ceiling gate runs under this.
-fn analyze_from_env() -> bool {
-    std::env::var("DAIL_ANALYZE")
-        .map(|v| !matches!(v.trim(), "" | "0" | "false"))
-        .unwrap_or(false)
 }
 
 /// Look up a database by id, exiting with status 2 (and the available ids)
@@ -877,8 +866,8 @@ struct ServeRun {
     stats: servekit::ServeStats,
     /// Per-request EX verdict: `Some` for scored OK responses.
     ex: Vec<Option<bool>>,
-    /// Query-digest rollup over scored responses; `Some` only when the
-    /// analyzed scoring path was active (`--digests` or `DAIL_ANALYZE`).
+    /// Query-digest rollup over scored responses; `Some` only when
+    /// `--digests` asked for the analyzed scoring path.
     digests: Option<eval::DigestAccumulator>,
     rec: obskit::Recorder,
     trace_path: Option<PathBuf>,
@@ -938,11 +927,10 @@ fn run_serve(flags: &HashMap<String, String>) -> ServeRun {
     let reqs = servekit::generate(&load, bench.dev.len());
     let out = servekit::serve(predictor.as_ref(), &ctx, &bench.dev, &reqs, &cfg);
 
-    // Scoring always goes through `score_item`. With `--digests` or
-    // `DAIL_ANALYZE=1` each prediction is also run through the analyzed
-    // executor for the digest rollup; no printed number depends on it.
-    let analyze = digests_top_n(flags).is_some() || analyze_from_env();
-    let mut digests = analyze.then(eval::DigestAccumulator::new);
+    // Scoring always goes through `score_item`. With `--digests` each
+    // prediction is also run through the analyzed executor for the digest
+    // rollup; no other printed number depends on it.
+    let mut digests = digests_top_n(flags).map(|_| eval::DigestAccumulator::new());
     let mut ex: Vec<Option<bool>> = Vec::with_capacity(reqs.len());
     for (i, (req, outcome)) in reqs.iter().zip(&out.outcomes).enumerate() {
         if let servekit::Outcome::Ok {
@@ -1593,16 +1581,16 @@ fn sb_question_region(rng: &mut rand::rngs::StdRng) -> String {
 }
 
 /// ANN retrieval sweep (`select-bench --pool-rows N[,N...]`): for each
-/// pool size, measure the exact sharded scan, then IVF (f32) and IVF+int8
-/// retrieval — recall@k against the exact oracle, training cost, and
-/// throughput. `scripts/check.sh` gates recall ≥ 0.99 and a ≥5× speedup
-/// at the 1M-row point from the `--json` output. With `--no-timing` the
+/// pool size, measure the exact sharded scan, then IVF retrieval —
+/// recall@k against the exact oracle, training cost, and throughput.
+/// `scripts/check.sh` gates recall ≥ 0.99 and a ≥5× speedup at the
+/// 1M-row point from the `--json` output. With `--no-timing` the
 /// report carries no wall-clock numbers and is byte-identical across
 /// machines and `DAIL_THREADS` settings (the determinism gate).
 fn select_bench_sweep(flags: &HashMap<String, String>) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use retrievekit::{top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams, QuantizedMatrix};
+    use retrievekit::{top_k_cosine, EmbeddingMatrix, IvfIndex, IvfParams};
     use std::fmt::Write as _;
     use textkit::{embed_into, DIM};
 
@@ -1643,9 +1631,6 @@ fn select_bench_sweep(flags: &HashMap<String, String>) {
     for (t, chunk) in targets.iter().zip(target_rows.chunks_exact_mut(DIM)) {
         embed_into(t, chunk);
     }
-    // int8 mirror of the full pool; a size-n prefix scan only ever touches
-    // rows < n, so one quantization pass serves every sweep point.
-    let quant = QuantizedMatrix::from_matrix(&matrix);
 
     struct Point {
         pool: usize,
@@ -1691,42 +1676,34 @@ fn select_bench_sweep(flags: &HashMap<String, String>) {
         let index = IvfIndex::train(&matrix, n, &IvfParams::default());
         let train_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        for mode in ["ivf", "ivf-int8"] {
-            let t0 = std::time::Instant::now();
-            let approx: Vec<Vec<(f32, u32)>> = target_rows
-                .chunks_exact(DIM)
-                .map(|q| {
-                    if mode == "ivf" {
-                        index.search(&matrix, q, k)
-                    } else {
-                        index.search_quantized(&matrix, &quant, q, k)
-                    }
-                })
-                .collect();
-            let approx_s = t0.elapsed().as_secs_f64();
-            let qps = queries_n as f64 / approx_s.max(1e-9);
-            let mut hit = 0usize;
-            let mut checksum = 0xcbf29ce484222325u64;
-            for (got, want) in approx.iter().zip(&exact) {
-                hit += got
-                    .iter()
-                    .filter(|(_, id)| want.iter().any(|&(_, w)| w == *id))
-                    .count();
-                checksum = sb_checksum(checksum, got);
-            }
-            let recall = hit as f64 / (queries_n * k_eff) as f64;
-            points.push(Point {
-                pool: n,
-                mode,
-                clusters: Some(index.n_clusters()),
-                probe: Some(index.n_probe()),
-                recall: Some(recall),
-                train_ms: timing.then_some(train_ms),
-                qps: timing.then_some(qps),
-                speedup: timing.then_some(qps / exact_qps.max(1e-9)),
-                checksum,
-            });
+        let t0 = std::time::Instant::now();
+        let approx: Vec<Vec<(f32, u32)>> = target_rows
+            .chunks_exact(DIM)
+            .map(|q| index.search(&matrix, q, k))
+            .collect();
+        let approx_s = t0.elapsed().as_secs_f64();
+        let qps = queries_n as f64 / approx_s.max(1e-9);
+        let mut hit = 0usize;
+        let mut checksum = 0xcbf29ce484222325u64;
+        for (got, want) in approx.iter().zip(&exact) {
+            hit += got
+                .iter()
+                .filter(|(_, id)| want.iter().any(|&(_, w)| w == *id))
+                .count();
+            checksum = sb_checksum(checksum, got);
         }
+        let recall = hit as f64 / (queries_n * k_eff) as f64;
+        points.push(Point {
+            pool: n,
+            mode: "ivf",
+            clusters: Some(index.n_clusters()),
+            probe: Some(index.n_probe()),
+            recall: Some(recall),
+            train_ms: timing.then_some(train_ms),
+            qps: timing.then_some(qps),
+            speedup: timing.then_some(qps / exact_qps.max(1e-9)),
+            checksum,
+        });
     }
 
     let opt = |v: Option<f64>, fmt: fn(f64) -> String| match v {

@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use retrievekit::{
-    top_k, top_k_cosine, EmbeddingMatrix, FeatureCache, IvfIndex, IvfParams, QuantizedMatrix,
-    RetrievalMode, SnapshotError, SnapshotSection, SECTION_IVF,
+    top_k, top_k_cosine, EmbeddingMatrix, FeatureCache, IvfIndex, IvfParams, RetrievalMode,
+    SnapshotError, SnapshotSection, SECTION_IVF,
 };
 use spider_gen::{Benchmark, ExampleItem};
 use sqlkit::{Query, Skeleton};
@@ -85,30 +85,17 @@ struct QueryFeatures {
 /// so even the full experiment grid stays far below this.
 const FEATURE_CACHE_CAPACITY: usize = 8192;
 
-/// Approximate-retrieval state for one embedding matrix: the trained IVF
-/// index, plus the int8 scan mirror when the mode asks for it. The
-/// quantized matrix is never persisted — rebuilding it is a cheap,
-/// deterministic function of the f32 matrix.
-struct AnnState {
-    index: IvfIndex,
-    quant: Option<QuantizedMatrix>,
-}
-
-impl AnnState {
-    /// Train (or adopt a pre-trained index for) one matrix under `mode`.
-    fn build(
-        mode: RetrievalMode,
-        matrix: &EmbeddingMatrix,
-        index: Option<IvfIndex>,
-    ) -> Option<AnnState> {
-        if mode == RetrievalMode::Exact {
-            return None;
-        }
-        let index =
-            index.unwrap_or_else(|| IvfIndex::train(matrix, matrix.len(), &IvfParams::default()));
-        let quant = (mode == RetrievalMode::IvfInt8).then(|| QuantizedMatrix::from_matrix(matrix));
-        Some(AnnState { index, quant })
+/// The IVF index for one matrix under `mode`: `None` in exact mode, else
+/// the pre-trained `index` when one was loaded, or a freshly trained one.
+fn ann_index(
+    mode: RetrievalMode,
+    matrix: &EmbeddingMatrix,
+    index: Option<IvfIndex>,
+) -> Option<IvfIndex> {
+    if mode == RetrievalMode::Exact {
+        return None;
     }
+    Some(index.unwrap_or_else(|| IvfIndex::train(matrix, matrix.len(), &IvfParams::default())))
 }
 
 /// Precomputed selector over a benchmark's training pool.
@@ -119,8 +106,8 @@ pub struct ExampleSelector<'a> {
     skeletons: Vec<Skeleton>,
     features: FeatureCache<QueryFeatures>,
     masked_targets: FeatureCache<String>,
-    raw_ann: Option<AnnState>,
-    masked_ann: Option<AnnState>,
+    raw_ann: Option<IvfIndex>,
+    masked_ann: Option<IvfIndex>,
 }
 
 impl<'a> ExampleSelector<'a> {
@@ -155,8 +142,8 @@ impl<'a> ExampleSelector<'a> {
             masked.push_row(&row);
             skeletons.push(Skeleton::of(&ex.gold));
         }
-        let raw_ann = AnnState::build(mode, &raw, None);
-        let masked_ann = AnnState::build(mode, &masked, None);
+        let raw_ann = ann_index(mode, &raw, None);
+        let masked_ann = ann_index(mode, &masked, None);
         ExampleSelector {
             pool: &bench.train,
             raw,
@@ -170,24 +157,20 @@ impl<'a> ExampleSelector<'a> {
     }
 
     /// Top-k over one matrix under the active retrieval mode: the exact
-    /// sharded scan when no ANN state exists, else the IVF probe (with
-    /// int8 candidate generation and exact rerank in `ivf-int8` mode).
-    /// Every path ends in full-precision f32 scores with score-desc /
+    /// sharded scan when no IVF index exists, else the IVF probe.
+    /// Both paths end in full-precision f32 scores with score-desc /
     /// index-asc tie-breaking. Runs in a `retrievekit.score` span.
     fn retrieve(
         &self,
         matrix: &EmbeddingMatrix,
-        ann: &Option<AnnState>,
+        ann: &Option<IvfIndex>,
         query: &[f32],
         k: usize,
     ) -> Vec<(f32, u32)> {
         let _span = obskit::span("retrievekit.score");
         match ann {
             None => top_k_cosine(matrix, query, matrix.len(), k),
-            Some(a) => match &a.quant {
-                Some(qm) => a.index.search_quantized(matrix, qm, query, k),
-                None => a.index.search(matrix, query, k),
-            },
+            Some(index) => index.search(matrix, query, k),
         }
     }
 
@@ -398,9 +381,9 @@ impl<'a> ExampleSelector<'a> {
         }
         let mut sections = Vec::new();
         for (role, ann) in [(0u8, &self.raw_ann), (1u8, &self.masked_ann)] {
-            if let Some(a) = ann {
+            if let Some(index) = ann {
                 let mut payload = vec![role];
-                payload.extend_from_slice(&a.index.to_bytes());
+                payload.extend_from_slice(&index.to_bytes());
                 sections.push(SnapshotSection {
                     tag: SECTION_IVF,
                     payload,
@@ -535,8 +518,8 @@ impl<'a> ExampleSelector<'a> {
             }
         }
         let [stored_raw, stored_masked] = stored;
-        let raw_ann = AnnState::build(mode, &raw, stored_raw);
-        let masked_ann = AnnState::build(mode, &masked, stored_masked);
+        let raw_ann = ann_index(mode, &raw, stored_raw);
+        let masked_ann = ann_index(mode, &masked, stored_masked);
 
         Ok(ExampleSelector {
             pool: &bench.train,
@@ -944,40 +927,39 @@ mod tests {
     #[test]
     fn ivf_modes_select_k_and_find_exact_duplicates() {
         let b = bench();
-        for mode in [RetrievalMode::Ivf, RetrievalMode::IvfInt8] {
-            let sel = ExampleSelector::with_retrieval(&b, mode);
-            // Query a pool question verbatim: its embedding is an exact
-            // duplicate of a pool row, the probe lands in that row's own
-            // cluster, so top-1 must share the question text.
-            let target = &b.train[b.train.len() / 2];
-            let picked = sel.select(
-                SelectionStrategy::QuestionSimilarity,
-                &target.question,
-                &target.question,
+        let mode = RetrievalMode::Ivf;
+        let sel = ExampleSelector::with_retrieval(&b, mode);
+        // Query a pool question verbatim: its embedding is an exact
+        // duplicate of a pool row, the probe lands in that row's own
+        // cluster, so top-1 must share the question text.
+        let target = &b.train[b.train.len() / 2];
+        let picked = sel.select(
+            SelectionStrategy::QuestionSimilarity,
+            &target.question,
+            &target.question,
+            None,
+            5,
+            1,
+        );
+        assert_eq!(picked.len(), 5, "{mode:?}");
+        assert_eq!(picked[0].question, target.question, "{mode:?}");
+        for strat in SelectionStrategy::ALL {
+            let got = sel.select(
+                strat,
+                "how many things are there",
+                "how many <mask> are there",
                 None,
-                5,
-                1,
+                4,
+                9,
             );
-            assert_eq!(picked.len(), 5, "{mode:?}");
-            assert_eq!(picked[0].question, target.question, "{mode:?}");
-            for strat in SelectionStrategy::ALL {
-                let got = sel.select(
-                    strat,
-                    "how many things are there",
-                    "how many <mask> are there",
-                    None,
-                    4,
-                    9,
-                );
-                assert_eq!(got.len(), 4, "{mode:?} {strat:?}");
-            }
+            assert_eq!(got.len(), 4, "{mode:?} {strat:?}");
         }
     }
 
     #[test]
     fn ivf_warm_start_and_retrain_fallback_match_cold_selections() {
         let b = bench();
-        let mode = RetrievalMode::IvfInt8;
+        let mode = RetrievalMode::Ivf;
         let cold = ExampleSelector::with_retrieval(&b, mode);
         let dir = std::env::temp_dir();
         let with_index = dir.join(format!("dail_sel_{}_ivf.emb", std::process::id()));

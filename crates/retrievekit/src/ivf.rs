@@ -23,12 +23,11 @@
 //! - centroid updates accumulate `f64` sums sequentially in row order, so
 //!   no floating-point reassociation can leak thread count into results.
 //!
-//! The `proptest_ivf.rs` suite pins all three contracts: thread-count
-//! invariance, full-probe degeneracy (`n_probe = n_clusters` ≡ exact
-//! top-k), and the bounded-error int8 kernel.
+//! The `proptest_ivf.rs` suite pins these contracts: thread-count
+//! invariance and full-probe degeneracy (`n_probe = n_clusters` ≡ exact
+//! top-k).
 
 use crate::matrix::{dot, EmbeddingMatrix};
-use crate::quant::{quantize_query, QuantizedMatrix};
 use crate::shard::resolve_threads;
 use crate::topk::TopK;
 
@@ -44,30 +43,16 @@ pub enum RetrievalMode {
     /// same arithmetic as the exact scan, so only unprobed clusters can
     /// cost recall.
     Ivf,
-    /// IVF probe + int8 candidate generation, then exact f32 rerank of the
-    /// shortlist. ~4× less scan bandwidth; the rerank keeps the final
-    /// ordering a function of exact scores.
-    IvfInt8,
 }
 
 impl RetrievalMode {
-    /// Parse `DAIL_RETRIEVAL` (`exact` | `ivf` | `ivf-int8`). Unset or
-    /// unrecognized values fall back to [`RetrievalMode::Exact`], matching
-    /// the forgiving style of `DAIL_THREADS` parsing.
+    /// Parse `DAIL_RETRIEVAL` (`exact` | `ivf`). Unset or unrecognized
+    /// values fall back to [`RetrievalMode::Exact`], matching the forgiving
+    /// style of `DAIL_THREADS` parsing.
     pub fn from_env() -> RetrievalMode {
         match std::env::var("DAIL_RETRIEVAL").as_deref() {
             Ok("ivf") => RetrievalMode::Ivf,
-            Ok("ivf-int8") => RetrievalMode::IvfInt8,
             _ => RetrievalMode::Exact,
-        }
-    }
-
-    /// Stable lowercase name (the `DAIL_RETRIEVAL` spelling).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RetrievalMode::Exact => "exact",
-            RetrievalMode::Ivf => "ivf",
-            RetrievalMode::IvfInt8 => "ivf-int8",
         }
     }
 }
@@ -396,58 +381,6 @@ impl IvfIndex {
         heap.into_sorted()
     }
 
-    /// Top-k with int8 candidate generation: probed lists are ranked by the
-    /// quantized i32 dot kernel into a shortlist of `max(16k, 128)`, then the
-    /// shortlist is reranked with exact f32 cosines. The approximate stage
-    /// decides only *which* rows reach the rerank; final scores and
-    /// ordering are full precision.
-    pub fn search_quantized(
-        &self,
-        matrix: &EmbeddingMatrix,
-        quant: &QuantizedMatrix,
-        query: &[f32],
-        k: usize,
-    ) -> Vec<(f32, u32)> {
-        self.search_quantized_with_probe(matrix, quant, query, k, self.n_probe)
-    }
-
-    /// [`Self::search_quantized`] with an explicit probe width.
-    pub fn search_quantized_with_probe(
-        &self,
-        matrix: &EmbeddingMatrix,
-        quant: &QuantizedMatrix,
-        query: &[f32],
-        k: usize,
-        n_probe: usize,
-    ) -> Vec<(f32, u32)> {
-        debug_assert!(quant.len() >= self.rows, "index/quant row mismatch");
-        let qq = quantize_query(query);
-        // The int8 kernel resolves relative score gaps down to roughly
-        // 1/127 per operand; near-duplicate pools pack many candidates
-        // inside that band, so the shortlist must be much wider than k for
-        // the true top-k to survive candidate generation. Reranking is
-        // O(shortlist · d) against an O(candidates · d) scan, so a wide
-        // margin costs almost nothing.
-        let shortlist_n = (16 * k).max(128);
-        let mut shortlist = TopK::new(shortlist_n);
-        let mut scanned = 0u64;
-        for &(_, c) in &self.probe(query, n_probe) {
-            let list = &self.lists[c as usize];
-            scanned += list.len() as u64;
-            for &id in list {
-                shortlist.push(quant.approx_cosine(id as usize, &qq), id);
-            }
-        }
-        let g = obskit::current();
-        g.add_counter("retrievekit.scored", scanned);
-        g.add_counter("retrievekit.ivf_probes", n_probe as u64);
-        let mut heap = TopK::new(k);
-        for (_, id) in shortlist.into_sorted() {
-            heap.push(matrix.cosine(id as usize, query), id);
-        }
-        heap.into_sorted()
-    }
-
     /// Serialize to the DAILEMB1 `IVFIDX01` section payload:
     /// header (`dim`, `n_clusters`, `n_probe`, reserved, `rows`), centroid
     /// f32 bits, then per-cluster `[len u32][ascending ids u32 …]`, all
@@ -612,30 +545,6 @@ mod tests {
             let q = m.row(qi).to_vec();
             let got = idx.search(&m, &q, 1);
             assert_eq!(got[0].1, qi as u32, "row {qi} should be its own top-1");
-        }
-    }
-
-    #[test]
-    fn quantized_search_reranks_with_exact_scores() {
-        let m = clustered_matrix(400, 32);
-        let quant = QuantizedMatrix::from_matrix(&m);
-        let idx = IvfIndex::train(
-            &m,
-            m.len(),
-            &IvfParams {
-                n_clusters: Some(5),
-                threads: Some(1),
-                ..IvfParams::default()
-            },
-        );
-        let q = m.row(42).to_vec();
-        let got = idx.search_quantized_with_probe(&m, &quant, &q, 4, idx.n_clusters());
-        // Full probe + shortlist ≥ 4k means the true top-4 survive candidate
-        // generation here; scores must be the exact f32 cosines.
-        let want = exact_top_k(&m, &q, 4);
-        assert_eq!(got, want);
-        for &(s, id) in &got {
-            assert_eq!(s.to_bits(), m.cosine(id as usize, &q).to_bits());
         }
     }
 

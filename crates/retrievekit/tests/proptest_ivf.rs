@@ -1,4 +1,4 @@
-//! Property tests pinning the IVF/quantization contracts from the module
+//! Property tests pinning the IVF contracts from the module
 //! docs:
 //!
 //! 1. **Thread-count invariance** — training with 1 worker and 4 workers
@@ -10,10 +10,6 @@
 //!    exact top-k, ties included: candidate scoring is the same f32
 //!    arithmetic as the exact scan and `TopK`'s total order makes the
 //!    result push-order-independent, so partitioning cannot show through.
-//! 3. **int8 kernel bounds** — the dequantized i32 dot tracks an f64
-//!    reference within the analytic symmetric-quantization bound, and
-//!    `0.0`/`-0.0` lanes are represented exactly (they contribute exactly
-//!    nothing).
 //!
 //! Matrices are built from a proptest-supplied seed through a local
 //! splitmix64 so a failing case shrinks to a tiny reproducible tuple
@@ -21,7 +17,6 @@
 
 use proptest::prelude::*;
 use retrievekit::ivf::{IvfIndex, IvfParams};
-use retrievekit::quant::{dot_i8, quantize_query};
 use retrievekit::{full_sort, EmbeddingMatrix, PARALLEL_THRESHOLD};
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -113,58 +108,5 @@ proptest! {
         let got = idx.search_with_probe(&m, &q, k, idx.n_clusters());
         let want = full_sort(m.scores(&q, 0, rows), k);
         prop_assert_eq!(got, want);
-    }
-
-    /// The dequantized int8 dot stays within the analytic error bound of
-    /// an f64 reference.
-    #[test]
-    fn int8_dot_error_is_bounded(
-        pairs in proptest::collection::vec((-2.0f32..2.0, -2.0f32..2.0), 1..128),
-    ) {
-        let a: Vec<f32> = pairs.iter().map(|p| p.0).collect();
-        let b: Vec<f32> = pairs.iter().map(|p| p.1).collect();
-        let qa = quantize_query(&a);
-        let qb = quantize_query(&b);
-        let approx = dot_i8(&qa.q, &qb.q) as f64 * qa.scale as f64 * qb.scale as f64;
-        let reference: f64 = a.iter().zip(&b).map(|(&x, &y)| x as f64 * y as f64).sum();
-        // Per-lane quantization error is at most scale/2, so the dot error
-        // is bounded by d·(amax_a·s_b/2 + amax_b·s_a/2 + s_a·s_b/4).
-        let amax = |xs: &[f32]| xs.iter().fold(0f32, |m, x| m.max(x.abs())) as f64;
-        let (aa, ab) = (amax(&a), amax(&b));
-        let (sa, sb) = (aa / 127.0, ab / 127.0);
-        let d = a.len() as f64;
-        let bound = d * (aa * sb / 2.0 + ab * sa / 2.0 + sa * sb / 4.0);
-        prop_assert!(
-            (approx - reference).abs() <= bound * 1.0001 + 1e-6,
-            "approx {} vs ref {} exceeds bound {}", approx, reference, bound
-        );
-    }
-
-    /// `0.0` and `-0.0` lanes quantize to exactly 0 and contribute exactly
-    /// nothing: zeroing any subset of lanes in both vectors changes the
-    /// quantized dot only through the untouched lanes.
-    #[test]
-    fn int8_zero_lanes_are_exact(
-        vals in proptest::collection::vec(-2.0f32..2.0, 2..64),
-        zero_mask in any::<u64>(),
-        negative_zero in any::<bool>(),
-    ) {
-        let z = if negative_zero { -0.0f32 } else { 0.0 };
-        let a: Vec<f32> = vals
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| if zero_mask >> (i % 64) & 1 == 1 { z } else { v })
-            .collect();
-        let qa = quantize_query(&a);
-        for (i, &x) in a.iter().enumerate() {
-            if x == 0.0 {
-                prop_assert_eq!(qa.q[i], 0, "lane {} ({:?}) must quantize to 0", i, x);
-            }
-        }
-        // An all-zero vector is represented exactly: zero scale, zero dot.
-        let zeros = vec![z; vals.len()];
-        let qz = quantize_query(&zeros);
-        prop_assert_eq!(qz.scale, 0.0);
-        prop_assert_eq!(dot_i8(&qz.q, &qa.q), 0);
     }
 }

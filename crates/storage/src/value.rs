@@ -85,18 +85,24 @@ impl Value {
     }
 
     /// A normalized key string for hashing in GROUP BY / DISTINCT, chosen so
-    /// that `group_eq` values produce identical keys.
+    /// that `group_eq` values produce identical keys. An integer keys as its
+    /// `f64` image when that image converts back to the same integer, so `3`
+    /// and `3.0` share a key; otherwise it keys by its exact digits, so
+    /// distinct integers beyond 2^53 never collide.
     pub fn group_key(&self) -> String {
         match self {
             Value::Null => "n".to_string(),
-            Value::Int(v) => format!("f{:?}", *v as f64),
-            Value::Float(v) => {
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    format!("f{:?}", *v)
+            Value::Int(v) => {
+                let f = *v as f64;
+                // `f as i64` saturates, so the image of `i64::MAX` (2^63)
+                // would falsely round-trip without the bound.
+                if f < 9_223_372_036_854_775_808.0 && f as i64 == *v {
+                    format!("f{f:?}")
                 } else {
-                    format!("f{v:?}")
+                    format!("i{v}")
                 }
             }
+            Value::Float(v) => format!("f{v:?}"),
             Value::Str(s) => format!("s{s}"),
         }
     }
@@ -171,6 +177,20 @@ mod tests {
             Value::Str("3".into()).group_key()
         );
         assert_ne!(Value::Null.group_key(), Value::Int(0).group_key());
+    }
+
+    #[test]
+    fn group_keys_keep_integers_beyond_2_pow_53_distinct() {
+        let int = |v: i64| Value::Int(v).group_key();
+        let float = |v: f64| Value::Float(v).group_key();
+        let big: i64 = 1 << 53;
+        assert_ne!(int(big), int(big + 1));
+        // 2^53 + 2 is exactly representable, so it still unifies with its float.
+        assert_eq!(int(big + 2), float((big + 2) as f64));
+        // i64::MAX rounds up to 2^63 as f64, which does not convert back.
+        assert_ne!(int(i64::MAX), int(i64::MAX - 1));
+        assert_ne!(int(i64::MAX), float(i64::MAX as f64));
+        assert_eq!(int(i64::MIN), float(-(2f64.powi(63))));
     }
 
     #[test]

@@ -144,32 +144,39 @@ fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/exec_diff")
 }
 
-/// Every corpus statement under both join strategies, in file-name order.
-fn render_corpus() -> (String, usize) {
-    let db = regression_db();
+/// Every corpus statement as `(file name, sql)`, in file-name order.
+fn corpus_statements() -> Vec<(String, String)> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
         .expect("corpus dir exists")
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|e| e == "sql"))
         .collect();
     paths.sort();
-    let mut out = String::new();
-    let mut n = 0usize;
+    let mut out = Vec::new();
     for path in paths {
         let file = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(&path).unwrap();
         for line in text.lines() {
             let sql = line.trim();
-            if sql.is_empty() || sql.starts_with('#') {
-                continue;
+            if !sql.is_empty() && !sql.starts_with('#') {
+                out.push((file.clone(), sql.to_string()));
             }
-            for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
-                out.push_str(&render_entry(&db, &file, sql, join));
-            }
-            n += 1;
         }
     }
-    (out, n)
+    out
+}
+
+/// Every corpus statement under both join strategies, in file-name order.
+fn render_corpus() -> (String, usize) {
+    let db = regression_db();
+    let statements = corpus_statements();
+    let mut out = String::new();
+    for (file, sql) in &statements {
+        for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
+            out.push_str(&render_entry(&db, file, sql, join));
+        }
+    }
+    (out, statements.len())
 }
 
 #[test]
@@ -204,4 +211,29 @@ fn corpus_results_match_expected_bit_for_bit() {
         want_e.len(),
         "corpus and expected.txt differ in entry count"
     );
+}
+
+/// The join strategy is a physical choice: on every statement of the join
+/// corpus, Hash and NestedLoop must return the same rows in the same order.
+/// (`nulls_nan_zeros.sql` is exempt: its NaN and `-0.0` join keys still
+/// diverge between the strategies.)
+#[test]
+fn hash_and_nested_loop_agree_on_the_join_corpus() {
+    let db = regression_db();
+    let file = "joins_and_planner.sql";
+    let mut n = 0usize;
+    for (_, sql) in corpus_statements().iter().filter(|(f, _)| f == file) {
+        // An entry is its `== file [strategy] sql` header, then the result.
+        let result = |join| {
+            let entry = render_entry(&db, file, sql, join);
+            entry.split_once('\n').map(|(_, result)| result.to_string())
+        };
+        assert_eq!(
+            result(JoinStrategy::Hash),
+            result(JoinStrategy::NestedLoop),
+            "Hash and NestedLoop disagree on {file}: {sql}"
+        );
+        n += 1;
+    }
+    assert!(n >= 10, "join corpus unexpectedly small: {n} statements");
 }
